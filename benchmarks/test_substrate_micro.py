@@ -48,12 +48,12 @@ def test_simruntime_put_get_round(benchmark):
     def run_once():
         rt = SimRuntime(machine, window_words=4)
 
-        def program(ctx):
-            ctx.put(1, (ctx.rank + 1) % 2, 0)
-            ctx.flush((ctx.rank + 1) % 2)
-            ctx.barrier()
-            value = ctx.get(ctx.rank, 0)
-            ctx.flush(ctx.rank)
+        async def program(ctx):
+            await ctx.put(1, (ctx.rank + 1) % 2, 0)
+            await ctx.flush((ctx.rank + 1) % 2)
+            await ctx.barrier()
+            value = await ctx.get(ctx.rank, 0)
+            await ctx.flush(ctx.rank)
             return value
 
         return rt.run(program)

@@ -78,20 +78,20 @@ class DemoTASLockHandle(LockHandle):
         self.spec = spec
         self.ctx = ctx
 
-    def acquire(self) -> None:
+    async def acquire(self) -> None:
         ctx, spec = self.ctx, self.spec
         backoff = 0.2
         while True:
-            prev = ctx.cas(1, 0, spec.home_rank, spec.lock_offset)
-            ctx.flush(spec.home_rank)
+            prev = await ctx.cas(1, 0, spec.home_rank, spec.lock_offset)
+            await ctx.flush(spec.home_rank)
             if prev == 0:
                 return
-            ctx.compute(float(ctx.rng.uniform(0.0, backoff)))
+            await ctx.compute(float(ctx.rng.uniform(0.0, backoff)))
             backoff = min(backoff * 2.0, spec.max_backoff_us)
 
-    def release(self) -> None:
-        self.ctx.put(0, self.spec.home_rank, self.spec.lock_offset)
-        self.ctx.flush(self.spec.home_rank)
+    async def release(self) -> None:
+        await self.ctx.put(0, self.spec.home_rank, self.spec.lock_offset)
+        await self.ctx.flush(self.spec.home_rank)
 
 
 @register_scheme(

@@ -75,18 +75,18 @@ def measure_locality(machine: Machine, params: AdaptiveParameters):
         values.update(ledger.init_window(rank))
         return values
 
-    def program(ctx):
+    async def program(ctx):
         lock = InstrumentedRWLock(lock_spec.make(ctx), ledger, ctx)
         rng = ctx.rng
-        ctx.barrier()
+        await ctx.barrier()
         for _ in range(ITERATIONS):
             if rng.random() < FW:
-                with lock.writing():
-                    ctx.compute(0.3)
+                async with lock.writing():
+                    await ctx.compute(0.3)
             else:
-                with lock.reading():
-                    ctx.compute(0.3)
-        ctx.barrier()
+                async with lock.reading():
+                    await ctx.compute(0.3)
+        await ctx.barrier()
 
     runtime.run(program, window_init=window_init)
     grants = ledger.read_grants_from_window(runtime.window(ledger.home_rank))

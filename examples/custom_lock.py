@@ -71,22 +71,22 @@ class TASBackoffLockHandle(LockHandle):
         self.spec = spec
         self.ctx = ctx
 
-    def acquire(self) -> None:
+    async def acquire(self) -> None:
         ctx = self.ctx
         spec = self.spec
         backoff = spec.min_backoff_us
         while True:
-            prev = ctx.cas(1, 0, spec.home_rank, spec.lock_offset)
-            ctx.flush(spec.home_rank)
+            prev = await ctx.cas(1, 0, spec.home_rank, spec.lock_offset)
+            await ctx.flush(spec.home_rank)
             if prev == 0:
                 return
-            ctx.compute(float(ctx.rng.uniform(0.0, backoff)))
+            await ctx.compute(float(ctx.rng.uniform(0.0, backoff)))
             backoff = min(backoff * 2.0, spec.max_backoff_us)
 
-    def release(self) -> None:
+    async def release(self) -> None:
         ctx = self.ctx
-        ctx.put(0, self.spec.home_rank, self.spec.lock_offset)
-        ctx.flush(self.spec.home_rank)
+        await ctx.put(0, self.spec.home_rank, self.spec.lock_offset)
+        await ctx.flush(self.spec.home_rank)
 
 
 # --------------------------------------------------------------------------- #
@@ -136,16 +136,16 @@ def main() -> None:
         session = c.session(lock, extra_words=1)
         shared_offset = lock.window_words
 
-        def program(ctx):
+        async def program(ctx):
             handle = lock.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             for _ in range(ITERATIONS):
-                with handle.held():
-                    value = ctx.get(0, shared_offset)
-                    ctx.flush(0)
-                    ctx.put(value + 1, 0, shared_offset)
-                    ctx.flush(0)
-            ctx.barrier()
+                async with handle.held():
+                    value = await ctx.get(0, shared_offset)
+                    await ctx.flush(0)
+                    await ctx.put(value + 1, 0, shared_offset)
+                    await ctx.flush(0)
+            await ctx.barrier()
 
         session.run(program)
         final = session.window(0).read(shared_offset)

@@ -81,10 +81,10 @@ def run_workload(machine: Machine, lock_kind: str) -> Dict[str, float]:
 
     runtime = SimRuntime(machine, window_words=window_words, seed=3)
 
-    def program(ctx):
+    async def program(ctx):
         locks = [spec.make(ctx) for spec in specs]
         rng = ctx.rng
-        ctx.barrier()
+        await ctx.barrier()
         start = ctx.now()
         reads = 0
         updates = 0
@@ -93,26 +93,26 @@ def run_workload(machine: Machine, lock_kind: str) -> Dict[str, float]:
             lock = locks[owner]
             if rng.random() < EDGE_INSERT_FRACTION:
                 # Edge insertion: exclusive access to the owner's partition.
-                with lock.writing():
-                    count = ctx.get(owner, degree_offset)
-                    ctx.flush(owner)
+                async with lock.writing():
+                    count = await ctx.get(owner, degree_offset)
+                    await ctx.flush(owner)
                     slot = edges_offset + (2 * count) % (MAX_EDGES_PER_PARTITION - 2)
-                    ctx.put(int(rng.integers(0, NUM_VERTICES)), owner, slot)
-                    ctx.put(int(rng.integers(0, NUM_VERTICES)), owner, slot + 1)
-                    ctx.put(count + 1, owner, degree_offset)
-                    ctx.flush(owner)
+                    await ctx.put(int(rng.integers(0, NUM_VERTICES)), owner, slot)
+                    await ctx.put(int(rng.integers(0, NUM_VERTICES)), owner, slot + 1)
+                    await ctx.put(count + 1, owner, degree_offset)
+                    await ctx.flush(owner)
                 updates += 1
             else:
                 # Neighbour scan: shared access; read the degree and a few edges.
-                with lock.reading():
-                    count = ctx.get(owner, degree_offset)
-                    ctx.flush(owner)
+                async with lock.reading():
+                    count = await ctx.get(owner, degree_offset)
+                    await ctx.flush(owner)
                     for i in range(min(4, max(count, 0))):
-                        ctx.get(owner, edges_offset + 2 * i)
-                    ctx.flush(owner)
+                        await ctx.get(owner, edges_offset + 2 * i)
+                    await ctx.flush(owner)
                 reads += 1
         end = ctx.now()
-        ctx.barrier()
+        await ctx.barrier()
         return {"elapsed": end - start, "reads": reads, "updates": updates}
 
     result = runtime.run(program, window_init=window_init)

@@ -43,24 +43,24 @@ def main() -> None:
         session = c.session(lock, extra_words=1)
         shared_offset = lock.window_words
 
-        def program(ctx):
+        async def program(ctx):
             handle = lock.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             observed = 0
             # One writer per node; everyone else only reads.
             is_writer = ctx.rank % PROCS_PER_NODE == 0
             for _ in range(ITERATIONS):
                 if is_writer:
-                    with handle.writing():
-                        current = ctx.get(0, shared_offset)
-                        ctx.flush(0)
-                        ctx.put(current + 1, 0, shared_offset)
-                        ctx.flush(0)
+                    async with handle.writing():
+                        current = await ctx.get(0, shared_offset)
+                        await ctx.flush(0)
+                        await ctx.put(current + 1, 0, shared_offset)
+                        await ctx.flush(0)
                 else:
-                    with handle.reading():
-                        observed = ctx.get(0, shared_offset)
-                        ctx.flush(0)
-            ctx.barrier()
+                    async with handle.reading():
+                        observed = await ctx.get(0, shared_offset)
+                        await ctx.flush(0)
+            await ctx.barrier()
             return observed
 
         run = session.run(program)

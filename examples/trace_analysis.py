@@ -46,13 +46,13 @@ def trace_lock(machine: Machine, spec, label: str) -> None:
     recorder = TraceRecorder()
     runtime = SimRuntime(machine, window_words=spec.window_words, tracer=recorder, seed=7)
 
-    def program(ctx):
+    async def program(ctx):
         lock = spec.make(ctx)
-        ctx.barrier()
+        await ctx.barrier()
         for _ in range(ITERATIONS):
-            with lock.held():
-                ctx.compute(0.3)
-        ctx.barrier()
+            async with lock.held():
+                await ctx.compute(0.3)
+        await ctx.barrier()
 
     result = runtime.run(program, window_init=spec.init_window)
     summary = summarize_trace(recorder.events)

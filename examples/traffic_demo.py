@@ -77,22 +77,22 @@ class DemoTASLockHandle(LockHandle):
         self.spec = spec
         self.ctx = ctx
 
-    def acquire(self) -> None:
+    async def acquire(self) -> None:
         ctx, spec = self.ctx, self.spec
         backoff = 0.2
         while True:
-            prev = ctx.cas(1, 0, spec.home_rank, spec.lock_offset)
-            ctx.flush(spec.home_rank)
+            prev = await ctx.cas(1, 0, spec.home_rank, spec.lock_offset)
+            await ctx.flush(spec.home_rank)
             if prev == 0:
                 return
-            ctx.compute(backoff)
+            await ctx.compute(backoff)
             backoff = min(backoff * 2.0, 6.4)
-            ctx.spin_while(spec.home_rank, spec.lock_offset, lambda v: v != 0)
+            await ctx.spin_while(spec.home_rank, spec.lock_offset, lambda v: v != 0)
 
-    def release(self) -> None:
+    async def release(self) -> None:
         ctx, spec = self.ctx, self.spec
-        ctx.put(0, spec.home_rank, spec.lock_offset)
-        ctx.flush(spec.home_rank)
+        await ctx.put(0, spec.home_rank, spec.lock_offset)
+        await ctx.flush(spec.home_rank)
 
 
 @register_scheme("demo-tas", category="custom", help="third-party TAS lock (traffic demo)")

@@ -14,14 +14,14 @@ Quickstart::
     spec = RMARWLockSpec(machine, t_dc=8, t_l=(4, 4), t_r=64)
     runtime = SimRuntime(machine, window_words=spec.window_words)
 
-    def program(ctx):
+    async def program(ctx):
         lock = spec.make(ctx)
-        ctx.barrier()
+        await ctx.barrier()
         if ctx.rank == 0:
-            with lock.writing():
+            async with lock.writing():
                 ...            # exclusive critical section
         else:
-            with lock.reading():
+            async with lock.reading():
                 ...            # shared critical section
 
     result = runtime.run(program, window_init=spec.init_window)

@@ -548,15 +548,15 @@ def ablation_handoff_locality(
                 values.update(_ledger.init_window(rank))
                 return values
 
-            def program(ctx, _lock=lock_spec, _ledger=ledger, _iters=iters):
+            async def program(ctx, _lock=lock_spec, _ledger=ledger, _iters=iters):
                 lock = InstrumentedLock(_lock.make(ctx), _ledger, ctx)
-                ctx.barrier()
+                await ctx.barrier()
                 start = ctx.now()
                 for _ in range(_iters):
-                    with lock.held():
-                        ctx.compute(0.2)
+                    async with lock.held():
+                        await ctx.compute(0.2)
                 end = ctx.now()
-                ctx.barrier()
+                await ctx.barrier()
                 return end - start
 
             result = runtime.run(program, window_init=window_init)

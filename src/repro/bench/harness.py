@@ -204,7 +204,7 @@ def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shar
     fw = config.fw
     iterations = config.iterations
 
-    def program(ctx: ProcessContext):
+    async def program(ctx: ProcessContext):
         lock = spec.make(ctx)
         observer = getattr(ctx, "observer", None)
         if observer is not None:
@@ -217,7 +217,7 @@ def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shar
         rng_random = rng.random
         rng_uniform = rng.uniform
         now = ctx.now
-        ctx.barrier()
+        await ctx.barrier()
         start = now()
         latencies = []
         append_latency = latencies.append
@@ -231,37 +231,37 @@ def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shar
             if is_rw:
                 rw_lock: RWLockHandle = lock  # type: ignore[assignment]
                 if as_writer:
-                    rw_lock.acquire_write()
+                    await rw_lock.acquire_write()
                 else:
-                    rw_lock.acquire_read()
+                    await rw_lock.acquire_read()
             else:
-                lock.acquire()
+                await lock.acquire()
 
             # --- critical section body -------------------------------------- #
             if is_sob:
                 # Exactly one memory access on a shared remote location.
                 if as_writer:
-                    ctx.put(1, 0, shared_offset)
+                    await ctx.put(1, 0, shared_offset)
                 else:
-                    ctx.get(0, shared_offset)
-                ctx.flush(0)
+                    await ctx.get(0, shared_offset)
+                await ctx.flush(0)
             elif is_wcsb:
                 # Increment a shared counter, then local computation of 1-4 us.
                 if as_writer:
-                    ctx.accumulate(1, 0, shared_offset)
+                    await ctx.accumulate(1, 0, shared_offset)
                 else:
-                    ctx.get(0, shared_offset)
-                ctx.flush(0)
-                ctx.compute(float(rng_uniform(cs_lo, cs_hi)))
+                    await ctx.get(0, shared_offset)
+                await ctx.flush(0)
+                await ctx.compute(float(rng_uniform(cs_lo, cs_hi)))
             # lb / ecsb / warb: empty critical section.
 
             if is_rw:
                 if as_writer:
-                    rw_lock.release_write()
+                    await rw_lock.release_write()
                 else:
-                    rw_lock.release_read()
+                    await rw_lock.release_read()
             else:
-                lock.release()
+                await lock.release()
             append_latency(now() - t0)
             if as_writer:
                 writes += 1
@@ -269,9 +269,9 @@ def make_lock_program(config: LockBenchConfig, spec: LockSpec, is_rw: bool, shar
                 reads += 1
 
             if is_warb:
-                ctx.compute(float(rng_uniform(wait_lo, wait_hi)))
+                await ctx.compute(float(rng_uniform(wait_lo, wait_hi)))
         end = now()
-        ctx.barrier()
+        await ctx.barrier()
         return {
             "start": start,
             "end": end,

@@ -10,12 +10,12 @@ Because the deterministic schedulers are required to produce bit-identical
 results, every measurement doubles as a determinism cross-check: a speedup
 number is only reported after the two runtimes' results were verified equal.
 
-Used by ``benchmarks/test_perf_runtime.py`` and
-``benchmarks/test_perf_vector.py`` (which record ``BENCH_runtime.json`` so
-future PRs can track simulator throughput) and by the ``python -m repro
-perf`` CLI subcommand.  ``profile_case`` backs ``repro perf --profile``: a
-cProfile/pstats hot-path report per case, written next to the bench JSON,
-so future perf PRs start from data instead of guesses.
+Used by ``benchmarks/test_perf_runtime.py`` (which measures and gates but
+writes nothing) and by the ``python -m repro perf`` CLI subcommand, whose
+``--output`` records ``BENCH_runtime.json``.  ``profile_case`` backs
+``repro perf --profile``: a cProfile/pstats hot-path report per case,
+written next to the bench JSON, so perf work starts from data instead of
+guesses.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "measure_case",
     "profile_case",
     "run_perf_suite",
-    "update_bench_json",
     "write_bench_json",
 ]
 
@@ -226,30 +225,13 @@ def profile_case(
         runtime.run(program, window_init=spec.init_window)
 
     one_run()  # warm-up, unprofiled
+    # The horizon scheduler runs every rank on the calling thread, so one
+    # profiler sees the whole simulation.  (Thread-per-rank backends run
+    # their ranks on threads this profiler does not see.)
     profiler = cProfile.Profile()
-
-    # The deterministic simulators execute most work on rank threads (the
-    # driver loop runs on whichever rank thread holds the baton), which the
-    # calling thread's profiler never sees.  Install the profiler around
-    # every thread started during the measured run instead.
-    import threading
-
-    orig_bootstrap = threading.Thread._bootstrap_inner
-
-    def profiled_bootstrap(self):
-        profiler.enable()
-        try:
-            orig_bootstrap(self)
-        finally:
-            profiler.disable()
-
-    threading.Thread._bootstrap_inner = profiled_bootstrap  # type: ignore[method-assign]
-    try:
-        profiler.enable()
-        one_run()
-        profiler.disable()
-    finally:
-        threading.Thread._bootstrap_inner = orig_bootstrap  # type: ignore[method-assign]
+    profiler.enable()
+    one_run()
+    profiler.disable()
 
     buf = io.StringIO()
     buf.write(
@@ -324,53 +306,13 @@ def _host_metadata() -> Dict[str, object]:
 
 
 def write_bench_json(rows: Sequence[Dict[str, object]], path: Path) -> Path:
-    """Write the perf rows (plus host metadata) to ``path`` as JSON.
-
-    Re-blessing the main suite preserves any extra suite sections already
-    recorded in the file (e.g. the ``vector`` dispatch-cost suite), so the
-    two recording tests can run in either order without clobbering each
-    other.
-    """
+    """Write the perf rows (plus host metadata) to ``path`` as JSON."""
     path = Path(path)
-    payload: Dict[str, object] = {}
-    if path.exists():
-        try:
-            previous = json.loads(path.read_text())
-        except (OSError, ValueError):
-            previous = {}
-        for key, value in previous.items():
-            if key not in ("suite", "gate_speedup_required", "host", "cases"):
-                payload[key] = value
-    payload.update(
-        {
-            "suite": "runtime-perf",
-            "gate_speedup_required": GATE_SPEEDUP,
-            "host": _host_metadata(),
-            "cases": list(rows),
-        }
-    )
+    payload: Dict[str, object] = {
+        "suite": "runtime-perf",
+        "gate_speedup_required": GATE_SPEEDUP,
+        "host": _host_metadata(),
+        "cases": list(rows),
+    }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def update_bench_json(path: Path, section: str, payload: Dict[str, object]) -> Path:
-    """Record ``payload`` under the top-level ``section`` key of the bench JSON.
-
-    Used by auxiliary suites (the ``vector`` per-op dispatch benchmark) that
-    share ``BENCH_runtime.json`` with the main runtime-perf rows.  The rest
-    of the file is preserved; a missing file gets a minimal skeleton so the
-    auxiliary suite can run standalone.
-    """
-    path = Path(path)
-    if path.exists():
-        try:
-            document = json.loads(path.read_text())
-        except (OSError, ValueError):
-            document = {}
-    else:
-        document = {"suite": "runtime-perf", "host": _host_metadata(), "cases": []}
-    payload = dict(payload)
-    payload.setdefault("host", _host_metadata())
-    document[section] = payload
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return path

@@ -260,9 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf.add_argument("--scheduler", choices=schedulers, default="horizon",
                       help="runtime backend to measure (default: horizon)")
-    perf.add_argument("--reference", choices=schedulers, default=None,
+    perf.add_argument("--reference", choices=schedulers, default="baseline",
                       help="reference backend for the determinism cross-check and the "
-                           "speedup column (default: baseline, or horizon when measuring vector)")
+                           "speedup column (default: baseline)")
     perf.add_argument("--reps", type=int, default=None, help="repetitions per case (best wall time wins)")
     perf.add_argument("--baseline-reps", type=int, default=None, help="repetitions for the reference scheduler")
     perf.add_argument("--no-baseline", action="store_true", help="measure only the selected scheduler")
@@ -611,20 +611,20 @@ def _run_trace(args: argparse.Namespace) -> int:
     recorder = TraceRecorder()
     runtime = SimRuntime(machine, window_words=spec.window_words, tracer=recorder, seed=config.seed)
 
-    def program(ctx):
+    async def program(ctx):
         lock = spec.make(ctx)
         rng = ctx.rng
-        ctx.barrier()
+        await ctx.barrier()
         for _ in range(args.iterations):
             as_writer = not is_rw or bool(rng.random() < args.fw)
             if is_rw and not as_writer:
                 rw_lock: RWLockHandle = lock  # type: ignore[assignment]
-                with rw_lock.reading():
-                    ctx.compute(0.3)
+                async with rw_lock.reading():
+                    await ctx.compute(0.3)
             else:
-                with lock.held():
-                    ctx.compute(0.3)
-        ctx.barrier()
+                async with lock.held():
+                    await ctx.compute(0.3)
+        await ctx.barrier()
 
     result = runtime.run(program, window_init=spec.init_window)
     summary = summarize_trace(recorder.events)
@@ -739,10 +739,6 @@ def _run_perf(args: argparse.Namespace) -> int:
 
     runtime_name = args.scheduler
     reference = args.reference
-    if reference is None:
-        # Measuring the batched scheduler is interesting relative to the fast
-        # horizon core, not the preserved seed scheduler it trivially beats.
-        reference = "horizon" if runtime_name == "vector" else "baseline"
     if reference == runtime_name:
         print(f"note: measuring {runtime_name!r} against itself; speedup will be ~1.0x")
     rows = run_perf_suite(

@@ -16,7 +16,7 @@ Determinism contract — the part that makes adaptive runs gate-able:
   per-phase statistics come from the materialized request schedules (pure
   functions of ``(scenario, seed, rank)``), never from measured wall time or
   scheduler-dependent quantities.  :func:`build_swap_plan` therefore computes
-  the identical plan under the horizon, baseline and vector schedulers and
+  the identical plan under the horizon and baseline schedulers and
   under any ``--jobs`` setting.
 * A swap executes at a phase boundary as a *drain-then-reinit* crossing:
   every rank barriers (so no holder is in flight), rewrites its **own**
@@ -546,24 +546,16 @@ class PolicyController:
     def num_boundaries(self) -> int:
         return self.plan.num_boundaries
 
-    def cross(self, ctx: Any, boundary: int) -> int:
+    async def cross(self, ctx: Any, boundary: int) -> int:
         """Perform the collective crossing of ``boundary``; returns swap count."""
-        ctx.barrier()
+        await ctx.barrier()
         swaps = self.plan.swaps_at(boundary)
         if swaps:
             rank = ctx.rank
-            # Real-time fence.  Descriptor-batched runtimes (the vector
-            # scheduler) buffer barriers without blocking the rank's thread,
-            # so without a value-producing operation here a fast rank could
-            # run the install below — a Python-level effect on the shared
-            # TableEntry, applied at *thread* time — while a slow rank is
-            # still serving pre-boundary requests against the old slot.  A
-            # get's result can only be delivered once the barrier above has
-            # completed, which requires every rank to have executed all of
-            # its pre-boundary program code first, so the install is ordered
-            # after every pre-boundary read of the slot in real time as well
-            # as virtual time.
-            ctx.get(rank, self.table.entry(swaps[0].entry_index).base_offset)
+            # Fence read: orders the install below after every rank's
+            # pre-boundary reads of the slot on any backend, and is part of
+            # the recorded crossing protocol (op counts, clocks), so it stays.
+            await ctx.get(rank, self.table.entry(swaps[0].entry_index).base_offset)
             for swap in swaps:
                 entry = self.table.entry(swap.entry_index)
                 placed = entry.place(
@@ -571,8 +563,8 @@ class PolicyController:
                 )
                 inits = placed.init_window(rank)
                 for offset in range(entry.base_offset, entry.base_offset + entry.stride):
-                    ctx.put(int(inits.get(offset, 0)), rank, offset)
-            ctx.flush(rank)
+                    await ctx.put(int(inits.get(offset, 0)), rank, offset)
+            await ctx.flush(rank)
             for swap in swaps:
                 self.table.entry(swap.entry_index).swap_spec(
                     swap.spec,
@@ -582,5 +574,5 @@ class PolicyController:
                     version=swap.version,
                     home_rank=swap.home_rank,
                 )
-        ctx.barrier()
+        await ctx.barrier()
         return len(swaps)

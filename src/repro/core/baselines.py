@@ -81,26 +81,26 @@ class FompiSpinLockHandle(LockHandle):
         self.spec = spec
         self.ctx = ctx
 
-    def acquire(self) -> None:
+    async def acquire(self) -> None:
         ctx = self.ctx
         spec = self.spec
         backoff = _BACKOFF_MIN_US
         while True:
-            prev = ctx.cas(1, 0, spec.home_rank, spec.lock_offset)
-            ctx.flush(spec.home_rank)
+            prev = await ctx.cas(1, 0, spec.home_rank, spec.lock_offset)
+            await ctx.flush(spec.home_rank)
             if prev == 0:
                 return
             # Locked by someone else: back off, then spin on the value before
             # retrying the CAS (test-and-test-and-set).
-            ctx.compute(backoff)
+            await ctx.compute(backoff)
             backoff = min(backoff * 2.0, _BACKOFF_MAX_US)
-            ctx.spin_while(spec.home_rank, spec.lock_offset, lambda v: v != 0)
+            await ctx.spin_while(spec.home_rank, spec.lock_offset, lambda v: v != 0)
 
-    def release(self) -> None:
+    async def release(self) -> None:
         ctx = self.ctx
         spec = self.spec
-        ctx.put(0, spec.home_rank, spec.lock_offset)
-        ctx.flush(spec.home_rank)
+        await ctx.put(0, spec.home_rank, spec.lock_offset)
+        await ctx.flush(spec.home_rank)
 
 
 @dataclass(frozen=True)
@@ -142,49 +142,49 @@ class FompiRWLockHandle(RWLockHandle):
 
     # -- reader side ------------------------------------------------------- #
 
-    def acquire_read(self) -> None:
+    async def acquire_read(self) -> None:
         ctx = self.ctx
         spec = self.spec
         while True:
-            prev = ctx.fao(1, spec.home_rank, spec.word_offset, AtomicOp.SUM)
-            ctx.flush(spec.home_rank)
+            prev = await ctx.fao(1, spec.home_rank, spec.word_offset, AtomicOp.SUM)
+            await ctx.flush(spec.home_rank)
             if prev < _RW_WRITER_BIT:
                 return
             # A writer holds or awaits the lock: undo and wait for it to finish.
-            ctx.accumulate(-1, spec.home_rank, spec.word_offset, AtomicOp.SUM)
-            ctx.flush(spec.home_rank)
-            ctx.spin_while(spec.home_rank, spec.word_offset, lambda v: v >= _RW_WRITER_BIT)
+            await ctx.accumulate(-1, spec.home_rank, spec.word_offset, AtomicOp.SUM)
+            await ctx.flush(spec.home_rank)
+            await ctx.spin_while(spec.home_rank, spec.word_offset, lambda v: v >= _RW_WRITER_BIT)
 
-    def release_read(self) -> None:
+    async def release_read(self) -> None:
         ctx = self.ctx
         spec = self.spec
-        ctx.accumulate(-1, spec.home_rank, spec.word_offset, AtomicOp.SUM)
-        ctx.flush(spec.home_rank)
+        await ctx.accumulate(-1, spec.home_rank, spec.word_offset, AtomicOp.SUM)
+        await ctx.flush(spec.home_rank)
 
     # -- writer side ------------------------------------------------------- #
 
-    def acquire_write(self) -> None:
+    async def acquire_write(self) -> None:
         ctx = self.ctx
         spec = self.spec
         while True:
-            current = ctx.get(spec.home_rank, spec.word_offset)
-            ctx.flush(spec.home_rank)
+            current = await ctx.get(spec.home_rank, spec.word_offset)
+            await ctx.flush(spec.home_rank)
             if current >= _RW_WRITER_BIT:
                 # Another writer is pending or active: wait for it to clear.
-                ctx.spin_while(spec.home_rank, spec.word_offset, lambda v: v >= _RW_WRITER_BIT)
+                await ctx.spin_while(spec.home_rank, spec.word_offset, lambda v: v >= _RW_WRITER_BIT)
                 continue
-            prev = ctx.cas(current + _RW_WRITER_BIT, current, spec.home_rank, spec.word_offset)
-            ctx.flush(spec.home_rank)
+            prev = await ctx.cas(current + _RW_WRITER_BIT, current, spec.home_rank, spec.word_offset)
+            await ctx.flush(spec.home_rank)
             if prev == current:
                 break
         # The writer bit is set: new readers bounce; wait for active readers to drain.
-        ctx.spin_while(spec.home_rank, spec.word_offset, lambda v: v != _RW_WRITER_BIT)
+        await ctx.spin_while(spec.home_rank, spec.word_offset, lambda v: v != _RW_WRITER_BIT)
 
-    def release_write(self) -> None:
+    async def release_write(self) -> None:
         ctx = self.ctx
         spec = self.spec
-        ctx.accumulate(-_RW_WRITER_BIT, spec.home_rank, spec.word_offset, AtomicOp.SUM)
-        ctx.flush(spec.home_rank)
+        await ctx.accumulate(-_RW_WRITER_BIT, spec.home_rank, spec.word_offset, AtomicOp.SUM)
+        await ctx.flush(spec.home_rank)
 
 
 # --------------------------------------------------------------------------- #

@@ -19,7 +19,7 @@ writer latency, which is the first axis of the paper's parameter space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Awaitable, Callable, Dict, List, Mapping, Optional
 
 from repro.core.constants import WRITE_FLAG
 from repro.core.layout import LayoutAllocator
@@ -76,33 +76,35 @@ class DistributedCounterHandle:
 
     # -- reader side ------------------------------------------------------- #
 
-    def reader_arrive(self) -> int:
+    async def reader_arrive(self) -> int:
         """Atomically increment the local arrival count; return the previous value."""
         ctx = self.ctx
-        prev = ctx.fao(1, self.my_counter, self.spec.arrive_offset, AtomicOp.SUM)
-        ctx.flush(self.my_counter)
+        prev = await ctx.fao(1, self.my_counter, self.spec.arrive_offset, AtomicOp.SUM)
+        await ctx.flush(self.my_counter)
         return prev
 
-    def reader_backoff(self) -> None:
+    async def reader_backoff(self) -> None:
         """Undo an arrival that exceeded ``T_R`` or raced with a writer (Listing 9, line 24)."""
         ctx = self.ctx
-        ctx.accumulate(-1, self.my_counter, self.spec.arrive_offset, AtomicOp.SUM)
-        ctx.flush(self.my_counter)
+        await ctx.accumulate(-1, self.my_counter, self.spec.arrive_offset, AtomicOp.SUM)
+        await ctx.flush(self.my_counter)
 
-    def reader_depart(self) -> None:
+    async def reader_depart(self) -> None:
         """Record that this reader left the critical section (Listing 10)."""
         ctx = self.ctx
-        ctx.accumulate(1, self.my_counter, self.spec.depart_offset, AtomicOp.SUM)
-        ctx.flush(self.my_counter)
+        await ctx.accumulate(1, self.my_counter, self.spec.depart_offset, AtomicOp.SUM)
+        await ctx.flush(self.my_counter)
 
-    def read_my_arrivals(self) -> int:
+    async def read_my_arrivals(self) -> int:
         """Current arrival count of this rank's physical counter."""
         ctx = self.ctx
-        value = ctx.get(self.my_counter, self.spec.arrive_offset)
-        ctx.flush(self.my_counter)
+        value = await ctx.get(self.my_counter, self.spec.arrive_offset)
+        await ctx.flush(self.my_counter)
         return value
 
-    def spin_until_read_mode(self, t_r: int, writer_waiting: Optional[Callable[[], bool]] = None) -> None:
+    async def spin_until_read_mode(
+        self, t_r: int, writer_waiting: Optional[Callable[[], Awaitable[bool]]] = None
+    ) -> None:
         """Spin while the local counter is saturated or in WRITE mode.
 
         Listing 9 spins while ``ARRIVE >= T_R``.  We spin while ``ARRIVE > T_R``
@@ -145,30 +147,30 @@ class DistributedCounterHandle:
             return self._active_readers(arrive, depart) > 0
 
         while True:
-            arrive, _depart = ctx.spin_on_cells([arrive_cell, depart_cell], keep_spinning)
+            arrive, _depart = await ctx.spin_on_cells([arrive_cell, depart_cell], keep_spinning)
             if arrive <= t_r:
                 return
             # Saturated, READ mode, nobody active: the counter is stranded.
-            if writer_waiting is not None and writer_waiting():
+            if writer_waiting is not None and await writer_waiting():
                 # A writer is queued; it will switch the counter to WRITE mode
                 # and reset it when handing the lock back to the readers.
-                ctx.spin_while(
+                await ctx.spin_while(
                     self.my_counter, self.spec.arrive_offset, lambda v: v > t_r
                 )
                 return
-            self.reset_counter(self.my_counter, clear_write_flag=False)
+            await self.reset_counter(self.my_counter, clear_write_flag=False)
             return
 
     # -- writer side ------------------------------------------------------- #
 
-    def set_counters_to_write(self) -> None:
+    async def set_counters_to_write(self) -> None:
         """Switch every physical counter to WRITE mode (Listing 6, top)."""
         ctx = self.ctx
         for rank in self.spec.counter_ranks:
-            ctx.accumulate(WRITE_FLAG, rank, self.spec.arrive_offset, AtomicOp.SUM)
-            ctx.flush(rank)
+            await ctx.accumulate(WRITE_FLAG, rank, self.spec.arrive_offset, AtomicOp.SUM)
+            await ctx.flush(rank)
 
-    def wait_readers_drained(self) -> None:
+    async def wait_readers_drained(self) -> None:
         """Wait until every reader that arrived before WRITE mode has departed.
 
         The paper's correctness argument (Section 4.1, Reader & Writer) requires
@@ -177,7 +179,7 @@ class DistributedCounterHandle:
         """
         ctx = self.ctx
         for rank in self.spec.counter_ranks:
-            ctx.spin_on_cells(
+            await ctx.spin_on_cells(
                 [(rank, self.spec.arrive_offset), (rank, self.spec.depart_offset)],
                 lambda values: self._active_readers(values[0], values[1]) > 0,
             )
@@ -189,7 +191,7 @@ class DistributedCounterHandle:
             arrive -= WRITE_FLAG
         return arrive - depart
 
-    def reset_counter(self, rank: int, *, clear_write_flag: bool = True) -> None:
+    async def reset_counter(self, rank: int, *, clear_write_flag: bool = True) -> None:
         """Fold the departures out of one physical counter (Listing 6, middle).
 
         The seed port performed the reset as two unconditional accumulates
@@ -225,42 +227,42 @@ class DistributedCounterHandle:
         """
         ctx = self.ctx
         while True:
-            arr_cnt = ctx.get(rank, self.spec.arrive_offset)
-            dep_cnt = ctx.get(rank, self.spec.depart_offset)
-            ctx.flush(rank)
-            claimed = ctx.cas(0, dep_cnt, rank, self.spec.depart_offset)
-            ctx.flush(rank)
+            arr_cnt = await ctx.get(rank, self.spec.arrive_offset)
+            dep_cnt = await ctx.get(rank, self.spec.depart_offset)
+            await ctx.flush(rank)
+            claimed = await ctx.cas(0, dep_cnt, rank, self.spec.depart_offset)
+            await ctx.flush(rank)
             if claimed != dep_cnt:
                 continue  # a departure (or another reset) raced us; re-read
             sub_arr = -dep_cnt
             if clear_write_flag and arr_cnt >= WRITE_FLAG:
                 sub_arr -= WRITE_FLAG
             if sub_arr:
-                ctx.accumulate(sub_arr, rank, self.spec.arrive_offset, AtomicOp.SUM)
-                ctx.flush(rank)
+                await ctx.accumulate(sub_arr, rank, self.spec.arrive_offset, AtomicOp.SUM)
+                await ctx.flush(rank)
             return
 
-    def reset_my_counter(self) -> None:
+    async def reset_my_counter(self) -> None:
         """Reset the counter associated with this rank (reader path, Listing 9).
 
         Reader resets never clear the WRITE flag — see :meth:`reset_counter`.
         """
-        self.reset_counter(self.my_counter, clear_write_flag=False)
+        await self.reset_counter(self.my_counter, clear_write_flag=False)
 
-    def reset_counters(self) -> None:
+    async def reset_counters(self) -> None:
         """Reset all physical counters (Listing 6, bottom): hand the lock to readers."""
         for rank in self.spec.counter_ranks:
-            self.reset_counter(rank)
+            await self.reset_counter(rank)
 
     # -- inspection --------------------------------------------------------- #
 
-    def snapshot(self) -> Dict[int, Dict[str, int]]:
+    async def snapshot(self) -> Dict[int, Dict[str, int]]:
         """Raw arrive/depart values of every physical counter (for tests/debugging)."""
         ctx = self.ctx
         out: Dict[int, Dict[str, int]] = {}
         for rank in self.spec.counter_ranks:
-            arrive = ctx.get(rank, self.spec.arrive_offset)
-            depart = ctx.get(rank, self.spec.depart_offset)
-            ctx.flush(rank)
+            arrive = await ctx.get(rank, self.spec.arrive_offset)
+            depart = await ctx.get(rank, self.spec.depart_offset)
+            await ctx.flush(rank)
             out[rank] = {"arrive": arrive, "depart": depart}
         return out

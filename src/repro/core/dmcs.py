@@ -82,42 +82,42 @@ class DMCSLockHandle(LockHandle):
         self.spec = spec
         self.ctx = ctx
 
-    def acquire(self) -> None:
+    async def acquire(self) -> None:
         """Listing 2: enqueue at the tail and spin until the predecessor hands over."""
         ctx = self.ctx
         spec = self.spec
         p = ctx.rank
         # Prepare local fields.
-        ctx.put(NULL_RANK, p, spec.next_offset)
-        ctx.put(_WAITING, p, spec.status_offset)
-        ctx.flush(p)
+        await ctx.put(NULL_RANK, p, spec.next_offset)
+        await ctx.put(_WAITING, p, spec.status_offset)
+        await ctx.flush(p)
         # Enter the tail of the MCS queue and fetch the predecessor.
-        pred = ctx.fao(p, spec.tail_rank, spec.tail_offset, AtomicOp.REPLACE)
-        ctx.flush(spec.tail_rank)
+        pred = await ctx.fao(p, spec.tail_rank, spec.tail_offset, AtomicOp.REPLACE)
+        await ctx.flush(spec.tail_rank)
         if pred != NULL_RANK:
             # Make the predecessor see us, then spin locally until it hands over.
-            ctx.put(p, pred, spec.next_offset)
-            ctx.flush(pred)
-            ctx.spin_while(p, spec.status_offset, lambda waiting: waiting == _WAITING)
+            await ctx.put(p, pred, spec.next_offset)
+            await ctx.flush(pred)
+            await ctx.spin_while(p, spec.status_offset, lambda waiting: waiting == _WAITING)
 
-    def release(self) -> None:
+    async def release(self) -> None:
         """Listing 3: hand the lock to the successor, or clear the tail if alone."""
         ctx = self.ctx
         spec = self.spec
         p = ctx.rank
-        succ = ctx.get(p, spec.next_offset)
-        ctx.flush(p)
+        succ = await ctx.get(p, spec.next_offset)
+        await ctx.flush(p)
         if succ == NULL_RANK:
             # Maybe we are the only process in the queue.
-            curr_rank = ctx.cas(NULL_RANK, p, spec.tail_rank, spec.tail_offset)
-            ctx.flush(spec.tail_rank)
+            curr_rank = await ctx.cas(NULL_RANK, p, spec.tail_rank, spec.tail_offset)
+            await ctx.flush(spec.tail_rank)
             if curr_rank == p:
                 return
             # Somebody is enqueueing; wait until it makes itself visible.
-            succ = ctx.spin_while(p, spec.next_offset, lambda nxt: nxt == NULL_RANK)
+            succ = await ctx.spin_while(p, spec.next_offset, lambda nxt: nxt == NULL_RANK)
         # Notify the successor.
-        ctx.put(_GRANTED, succ, spec.status_offset)
-        ctx.flush(succ)
+        await ctx.put(_GRANTED, succ, spec.status_offset)
+        await ctx.flush(succ)
 
 
 # --------------------------------------------------------------------------- #

@@ -73,23 +73,23 @@ class GrantLedgerSpec:
 
     # -- recording --------------------------------------------------------- #
 
-    def record_grant(self, ctx: ProcessContext) -> None:
+    async def record_grant(self, ctx: ProcessContext) -> None:
         """Append the calling rank to the ledger (called while holding the lock)."""
-        slot = ctx.fao(1, self.home_rank, self.counter_offset, AtomicOp.SUM)
+        slot = await ctx.fao(1, self.home_rank, self.counter_offset, AtomicOp.SUM)
         if slot < self.capacity:
-            ctx.put(ctx.rank, self.home_rank, self.grants_offset + slot)
-        ctx.flush(self.home_rank)
+            await ctx.put(ctx.rank, self.home_rank, self.grants_offset + slot)
+        await ctx.flush(self.home_rank)
 
     # -- reading back ------------------------------------------------------- #
 
-    def read_grants(self, ctx: ProcessContext) -> List[int]:
+    async def read_grants(self, ctx: ProcessContext) -> List[int]:
         """Read the recorded grant sequence (callable from any rank after a barrier)."""
-        count = ctx.get(self.home_rank, self.counter_offset)
-        ctx.flush(self.home_rank)
+        count = await ctx.get(self.home_rank, self.counter_offset)
+        await ctx.flush(self.home_rank)
         grants = []
         for i in range(min(count, self.capacity)):
-            grants.append(ctx.get(self.home_rank, self.grants_offset + i))
-        ctx.flush(self.home_rank)
+            grants.append(await ctx.get(self.home_rank, self.grants_offset + i))
+        await ctx.flush(self.home_rank)
         return grants
 
     def read_grants_from_window(self, window) -> List[int]:
@@ -109,12 +109,12 @@ class InstrumentedLock(LockHandle):
         self.ledger = ledger
         self.ctx = ctx
 
-    def acquire(self) -> None:
-        self.inner.acquire()
-        self.ledger.record_grant(self.ctx)
+    async def acquire(self) -> None:
+        await self.inner.acquire()
+        await self.ledger.record_grant(self.ctx)
 
-    def release(self) -> None:
-        self.inner.release()
+    async def release(self) -> None:
+        await self.inner.release()
 
 
 class InstrumentedRWLock(RWLockHandle):
@@ -129,18 +129,18 @@ class InstrumentedRWLock(RWLockHandle):
         self.ledger = ledger
         self.ctx = ctx
 
-    def acquire_write(self) -> None:
-        self.inner.acquire_write()
-        self.ledger.record_grant(self.ctx)
+    async def acquire_write(self) -> None:
+        await self.inner.acquire_write()
+        await self.ledger.record_grant(self.ctx)
 
-    def release_write(self) -> None:
-        self.inner.release_write()
+    async def release_write(self) -> None:
+        await self.inner.release_write()
 
-    def acquire_read(self) -> None:
-        self.inner.acquire_read()
+    async def acquire_read(self) -> None:
+        await self.inner.acquire_read()
 
-    def release_read(self) -> None:
-        self.inner.release_read()
+    async def release_read(self) -> None:
+        await self.inner.release_read()
 
 
 @dataclass(frozen=True)

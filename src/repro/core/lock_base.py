@@ -11,14 +11,16 @@ A lock comes in two pieces:
 Mutual-exclusion locks expose ``acquire``/``release``; reader-writer locks
 additionally expose ``acquire_read``/``release_read`` (and alias
 ``acquire``/``release`` to the writer side so an RW lock can be dropped in
-wherever a plain lock is expected).
+wherever a plain lock is expected).  Every handle method that issues RMA
+calls is an ``async def`` coroutine and is awaited by its caller; see
+:mod:`repro.rma.runtime_base`.
 """
 
 from __future__ import annotations
 
 import abc
-from contextlib import contextmanager
-from typing import Dict, Iterator, Mapping
+from contextlib import asynccontextmanager
+from typing import AsyncIterator, Dict, Mapping
 
 from repro.rma.runtime_base import ProcessContext
 
@@ -29,67 +31,67 @@ class LockHandle(abc.ABC):
     """Per-process handle of a mutual-exclusion lock."""
 
     @abc.abstractmethod
-    def acquire(self) -> None:
+    async def acquire(self) -> None:
         """Block (spin) until the calling process owns the lock."""
 
     @abc.abstractmethod
-    def release(self) -> None:
+    async def release(self) -> None:
         """Release the lock; the caller must currently own it."""
 
-    @contextmanager
-    def held(self) -> Iterator[None]:
-        """Context manager form: ``with lock.held(): ...``."""
-        self.acquire()
+    @asynccontextmanager
+    async def held(self) -> AsyncIterator[None]:
+        """Context manager form: ``async with lock.held(): ...``."""
+        await self.acquire()
         try:
             yield
         finally:
-            self.release()
+            await self.release()
 
 
 class RWLockHandle(LockHandle):
     """Per-process handle of a reader-writer lock."""
 
     @abc.abstractmethod
-    def acquire_read(self) -> None:
+    async def acquire_read(self) -> None:
         """Enter the critical section as a reader (shared access)."""
 
     @abc.abstractmethod
-    def release_read(self) -> None:
+    async def release_read(self) -> None:
         """Leave the critical section as a reader."""
 
     @abc.abstractmethod
-    def acquire_write(self) -> None:
+    async def acquire_write(self) -> None:
         """Enter the critical section as a writer (exclusive access)."""
 
     @abc.abstractmethod
-    def release_write(self) -> None:
+    async def release_write(self) -> None:
         """Leave the critical section as a writer."""
 
     # A reader-writer lock used through the plain Lock interface behaves as a
     # writer (exclusive) lock.
-    def acquire(self) -> None:
-        self.acquire_write()
+    async def acquire(self) -> None:
+        await self.acquire_write()
 
-    def release(self) -> None:
-        self.release_write()
+    async def release(self) -> None:
+        await self.release_write()
 
-    @contextmanager
-    def reading(self) -> Iterator[None]:
+    @asynccontextmanager
+    async def reading(self) -> AsyncIterator[None]:
         """Context manager for the reader side."""
-        self.acquire_read()
+        await self.acquire_read()
         try:
             yield
         finally:
-            self.release_read()
+            await self.release_read()
 
-    @contextmanager
-    def writing(self) -> Iterator[None]:
+    @asynccontextmanager
+    async def writing(self) -> AsyncIterator[None]:
         """Context manager for the writer side."""
-        self.acquire_write()
+        await self.acquire_write()
         try:
             yield
         finally:
-            self.release_write()
+            await self.release_write()
 
 
 class LockSpec(abc.ABC):

@@ -108,34 +108,34 @@ class RMAMCSLockHandle(LockHandle):
     # Acquire
     # ------------------------------------------------------------------ #
 
-    def acquire(self) -> None:
+    async def acquire(self) -> None:
         """Acquire the global lock, starting at the leaf level of the tree."""
-        self._acquire_level(self._n)
+        await self._acquire_level(self._n)
 
-    def _acquire_level(self, level: int) -> None:
+    async def _acquire_level(self, level: int) -> None:
         """Listing 4 generalized to every level (no readers to synchronize with)."""
         ctx = self.ctx
         node, tail_host, next_off, status_off, tail_off = self._level_consts[level - 1]
 
-        ctx.put(NULL_RANK, node, next_off)
-        ctx.put(STATUS_WAIT, node, status_off)
-        ctx.flush(node)
+        await ctx.put(NULL_RANK, node, next_off)
+        await ctx.put(STATUS_WAIT, node, status_off)
+        await ctx.flush(node)
         # Enter the DQ of this level within our machine element.
-        pred = ctx.fao(node, tail_host, tail_off, AtomicOp.REPLACE)
-        ctx.flush(tail_host)
+        pred = await ctx.fao(node, tail_host, tail_off, AtomicOp.REPLACE)
+        await ctx.flush(tail_host)
         if pred != NULL_RANK:
-            ctx.put(node, pred, next_off)
-            ctx.flush(pred)
-            status = ctx.spin_while(node, status_off, lambda s: s == STATUS_WAIT)
+            await ctx.put(node, pred, next_off)
+            await ctx.flush(pred)
+            status = await ctx.spin_while(node, status_off, lambda s: s == STATUS_WAIT)
             if status != STATUS_ACQUIRE_PARENT:
                 # The lock was passed within this element: we own the global lock.
                 return
         # No predecessor, or the predecessor released this level to its parent:
         # start counting passings afresh and acquire the next level up.
-        ctx.put(ACQUIRE_START, node, status_off)
-        ctx.flush(node)
+        await ctx.put(ACQUIRE_START, node, status_off)
+        await ctx.flush(node)
         if level > 1:
-            self._acquire_level(level - 1)
+            await self._acquire_level(level - 1)
         # At level 1 an empty queue (or an ACQUIRE_PARENT hand-over) means the
         # global lock is ours.
 
@@ -143,46 +143,46 @@ class RMAMCSLockHandle(LockHandle):
     # Release
     # ------------------------------------------------------------------ #
 
-    def release(self) -> None:
+    async def release(self) -> None:
         """Release the global lock, starting at the leaf level of the tree."""
-        self._release_level(self._n)
+        await self._release_level(self._n)
 
-    def _release_level(self, level: int) -> None:
+    async def _release_level(self, level: int) -> None:
         """Listing 5 generalized to every level."""
         ctx = self.ctx
         spec = self.spec
         node, tail_host, next_off, status_off, tail_off = self._level_consts[level - 1]
 
-        succ = ctx.get(node, next_off)
-        status = ctx.get(node, status_off)
-        ctx.flush(node)
+        succ = await ctx.get(node, next_off)
+        status = await ctx.get(node, status_off)
+        await ctx.flush(node)
         if succ != NULL_RANK and status < spec.locality_threshold(level):
             # Pass the lock within this machine element together with the
             # number of consecutive passings it has seen.
-            ctx.put(status + 1, succ, status_off)
-            ctx.flush(succ)
+            await ctx.put(status + 1, succ, status_off)
+            await ctx.flush(succ)
             return
 
         # Either nobody is known to wait here or the locality threshold was
         # reached: release the parent level first (if any).
         if level > 1:
-            self._release_level(level - 1)
+            await self._release_level(level - 1)
 
         if succ == NULL_RANK:
             # Check whether some process has just enqueued itself.
-            curr = ctx.cas(NULL_RANK, node, tail_host, tail_off)
-            ctx.flush(tail_host)
+            curr = await ctx.cas(NULL_RANK, node, tail_host, tail_off)
+            await ctx.flush(tail_host)
             if curr == node:
                 return
-            succ = ctx.spin_while(node, next_off, lambda nxt: nxt == NULL_RANK)
+            succ = await ctx.spin_while(node, next_off, lambda nxt: nxt == NULL_RANK)
 
         if level > 1:
             # We no longer hold the parent level: the successor must acquire it.
-            ctx.put(STATUS_ACQUIRE_PARENT, succ, status_off)
+            await ctx.put(STATUS_ACQUIRE_PARENT, succ, status_off)
         else:
             # Level 1 has no parent; the lock itself is handed to the successor.
-            ctx.put(status + 1, succ, status_off)
-        ctx.flush(succ)
+            await ctx.put(status + 1, succ, status_off)
+        await ctx.flush(succ)
 
 
 # --------------------------------------------------------------------------- #

@@ -169,149 +169,149 @@ class RMARWLockHandle(RWLockHandle):
     # Writer acquire (Listings 4 and 7)
     # ------------------------------------------------------------------ #
 
-    def acquire_write(self) -> None:
+    async def acquire_write(self) -> None:
         """Enter the critical section as a writer."""
         if self._n == 1:
-            self._writer_acquire_root()
+            await self._writer_acquire_root()
         else:
-            self._writer_acquire_level(self._n)
+            await self._writer_acquire_level(self._n)
 
-    def _writer_acquire_level(self, level: int) -> None:
+    async def _writer_acquire_level(self, level: int) -> None:
         """Listing 4: acquire the DQ at ``level`` (2 <= level <= N) and maybe climb."""
         ctx = self.ctx
         node, tail_host, next_off, status_off, tail_off = self._level_consts[level - 1]
 
-        ctx.put(NULL_RANK, node, next_off)
-        ctx.put(STATUS_WAIT, node, status_off)
-        ctx.flush(node)
-        pred = ctx.fao(node, tail_host, tail_off, AtomicOp.REPLACE)
-        ctx.flush(tail_host)
+        await ctx.put(NULL_RANK, node, next_off)
+        await ctx.put(STATUS_WAIT, node, status_off)
+        await ctx.flush(node)
+        pred = await ctx.fao(node, tail_host, tail_off, AtomicOp.REPLACE)
+        await ctx.flush(tail_host)
         if pred != NULL_RANK:
-            ctx.put(node, pred, next_off)
-            ctx.flush(pred)
-            status = ctx.spin_while(node, status_off, lambda s: s == STATUS_WAIT)
+            await ctx.put(node, pred, next_off)
+            await ctx.flush(pred)
+            status = await ctx.spin_while(node, status_off, lambda s: s == STATUS_WAIT)
             if status != STATUS_ACQUIRE_PARENT:
                 # T_L was not reached: the lock is passed to us directly.
                 return
         # Start acquiring the next level of the tree.
-        ctx.put(ACQUIRE_START, node, status_off)
-        ctx.flush(node)
+        await ctx.put(ACQUIRE_START, node, status_off)
+        await ctx.flush(node)
         if level > 2:
-            self._writer_acquire_level(level - 1)
+            await self._writer_acquire_level(level - 1)
         else:
-            self._writer_acquire_root()
+            await self._writer_acquire_root()
 
-    def _writer_acquire_root(self) -> None:
+    async def _writer_acquire_root(self) -> None:
         """Listing 7: acquire the level-1 DQ and synchronize with the readers."""
         ctx = self.ctx
         node, tail_host, next_off, status_off, tail_off = self._level_consts[0]
 
-        ctx.put(NULL_RANK, node, next_off)
-        ctx.put(STATUS_WAIT, node, status_off)
-        ctx.flush(node)
-        pred = ctx.fao(node, tail_host, tail_off, AtomicOp.REPLACE)
-        ctx.flush(tail_host)
+        await ctx.put(NULL_RANK, node, next_off)
+        await ctx.put(STATUS_WAIT, node, status_off)
+        await ctx.flush(node)
+        pred = await ctx.fao(node, tail_host, tail_off, AtomicOp.REPLACE)
+        await ctx.flush(tail_host)
 
         if pred != NULL_RANK:
-            ctx.put(node, pred, next_off)
-            ctx.flush(pred)
-            curr_stat = ctx.spin_while(node, status_off, lambda s: s == STATUS_WAIT)
+            await ctx.put(node, pred, next_off)
+            await ctx.flush(pred)
+            curr_stat = await ctx.spin_while(node, status_off, lambda s: s == STATUS_WAIT)
             if curr_stat == STATUS_MODE_CHANGE:
                 # The readers have the lock now; win it back.
-                self._dc.set_counters_to_write()
-                self._dc.wait_readers_drained()
-                ctx.put(ACQUIRE_START, node, status_off)
-                ctx.flush(node)
+                await self._dc.set_counters_to_write()
+                await self._dc.wait_readers_drained()
+                await ctx.put(ACQUIRE_START, node, status_off)
+                await ctx.flush(node)
             # Otherwise the lock was passed in WRITE mode with its count intact.
         else:
             # No predecessor: take the lock from the readers.
-            self._dc.set_counters_to_write()
-            self._dc.wait_readers_drained()
-            ctx.put(ACQUIRE_START, node, status_off)
-            ctx.flush(node)
+            await self._dc.set_counters_to_write()
+            await self._dc.wait_readers_drained()
+            await ctx.put(ACQUIRE_START, node, status_off)
+            await ctx.flush(node)
 
     # ------------------------------------------------------------------ #
     # Writer release (Listings 5 and 8)
     # ------------------------------------------------------------------ #
 
-    def release_write(self) -> None:
+    async def release_write(self) -> None:
         """Leave the critical section as a writer."""
         if self._n == 1:
-            self._writer_release_root()
+            await self._writer_release_root()
         else:
-            self._writer_release_level(self._n)
+            await self._writer_release_level(self._n)
 
-    def _writer_release_level(self, level: int) -> None:
+    async def _writer_release_level(self, level: int) -> None:
         """Listing 5: release the DQ at ``level`` (2 <= level <= N)."""
         ctx = self.ctx
         spec = self.spec
         node, tail_host, next_off, status_off, tail_off = self._level_consts[level - 1]
 
-        succ = ctx.get(node, next_off)
-        status = ctx.get(node, status_off)
-        ctx.flush(node)
+        succ = await ctx.get(node, next_off)
+        status = await ctx.get(node, status_off)
+        await ctx.flush(node)
         if succ != NULL_RANK and status < spec.locality_threshold(level):
             # Pass the lock within this element, carrying the passing count.
-            ctx.put(status + 1, succ, status_off)
-            ctx.flush(succ)
+            await ctx.put(status + 1, succ, status_off)
+            await ctx.flush(succ)
             return
 
         # No known successor or the locality threshold was reached: release the
         # parent level first.
         if level > 2:
-            self._writer_release_level(level - 1)
+            await self._writer_release_level(level - 1)
         else:
-            self._writer_release_root()
+            await self._writer_release_root()
 
         if succ == NULL_RANK:
-            curr = ctx.cas(NULL_RANK, node, tail_host, tail_off)
-            ctx.flush(tail_host)
+            curr = await ctx.cas(NULL_RANK, node, tail_host, tail_off)
+            await ctx.flush(tail_host)
             if curr == node:
                 return
-            succ = ctx.spin_while(node, next_off, lambda nxt: nxt == NULL_RANK)
+            succ = await ctx.spin_while(node, next_off, lambda nxt: nxt == NULL_RANK)
 
         # Notify the successor that it must acquire the lock at the parent level.
-        ctx.put(STATUS_ACQUIRE_PARENT, succ, status_off)
-        ctx.flush(succ)
+        await ctx.put(STATUS_ACQUIRE_PARENT, succ, status_off)
+        await ctx.flush(succ)
 
-    def _writer_release_root(self) -> None:
+    async def _writer_release_root(self) -> None:
         """Listing 8: release the level-1 DQ, possibly handing the lock to the readers."""
         ctx = self.ctx
         spec = self.spec
         node, tail_host, next_off, status_off, tail_off = self._level_consts[0]
 
         counters_reset = False
-        next_stat = ctx.get(node, status_off)
-        ctx.flush(node)
+        next_stat = await ctx.get(node, status_off)
+        await ctx.flush(node)
         next_stat += 1
         if next_stat >= spec.writer_threshold:
             # T_W reached: pass the lock to the readers.
-            self._dc.reset_counters()
+            await self._dc.reset_counters()
             next_stat = STATUS_MODE_CHANGE
             counters_reset = True
 
-        succ = ctx.get(node, next_off)
-        ctx.flush(node)
+        succ = await ctx.get(node, next_off)
+        await ctx.flush(node)
         if succ == NULL_RANK:
             if not counters_reset:
                 # Nobody known to wait: let the readers in.
-                self._dc.reset_counters()
+                await self._dc.reset_counters()
                 next_stat = STATUS_MODE_CHANGE
-            curr = ctx.cas(NULL_RANK, node, tail_host, tail_off)
-            ctx.flush(tail_host)
+            curr = await ctx.cas(NULL_RANK, node, tail_host, tail_off)
+            await ctx.flush(tail_host)
             if curr == node:
                 return
-            succ = ctx.spin_while(node, next_off, lambda nxt: nxt == NULL_RANK)
+            succ = await ctx.spin_while(node, next_off, lambda nxt: nxt == NULL_RANK)
 
         # Pass the lock (or the mode-change notification) to the successor.
-        ctx.put(next_stat, succ, status_off)
-        ctx.flush(succ)
+        await ctx.put(next_stat, succ, status_off)
+        await ctx.flush(succ)
 
     # ------------------------------------------------------------------ #
     # Reader protocol (Listings 9 and 10)
     # ------------------------------------------------------------------ #
 
-    def acquire_read(self) -> None:
+    async def acquire_read(self) -> None:
         """Listing 9: enter the critical section as a reader."""
         ctx = self.ctx
         spec = self.spec
@@ -321,19 +321,19 @@ class RMARWLockHandle(RWLockHandle):
         tail_host = consts[1]
         tail_off = consts[4]
 
-        def writer_waiting() -> bool:
+        async def writer_waiting() -> bool:
             """True when some writer is queued at the root DQ (Listing 9, line 17)."""
-            curr_tail = ctx.get(tail_host, tail_off)
-            ctx.flush(tail_host)
+            curr_tail = await ctx.get(tail_host, tail_off)
+            await ctx.flush(tail_host)
             return curr_tail != NULL_RANK
 
         barrier = False
         while True:
             if barrier:
                 # Wait until a writer resets our counter (or the saturation clears).
-                dc.spin_until_read_mode(t_r, writer_waiting=writer_waiting)
+                await dc.spin_until_read_mode(t_r, writer_waiting=writer_waiting)
 
-            curr_stat = dc.reader_arrive()
+            curr_stat = await dc.reader_arrive()
             if curr_stat < t_r:
                 # Lock mode is READ and the reader threshold is not exceeded.
                 return
@@ -341,17 +341,17 @@ class RMARWLockHandle(RWLockHandle):
             if curr_stat == t_r:
                 # We are the first to saturate this counter: hand the lock to a
                 # waiting writer if there is one, otherwise reset and go on.
-                curr_tail = ctx.get(tail_host, tail_off)
-                ctx.flush(tail_host)
+                curr_tail = await ctx.get(tail_host, tail_off)
+                await ctx.flush(tail_host)
                 if curr_tail == NULL_RANK:
-                    dc.reset_my_counter()
+                    await dc.reset_my_counter()
                     barrier = False
             # Back off and try again.
-            dc.reader_backoff()
+            await dc.reader_backoff()
 
-    def release_read(self) -> None:
+    async def release_read(self) -> None:
         """Listing 10: leave the critical section as a reader."""
-        self._dc.reader_depart()
+        await self._dc.reader_depart()
 
     # ------------------------------------------------------------------ #
     # Introspection helpers (used by tests and the benchmark harness)

@@ -145,7 +145,7 @@ class DHTHandle:
     # Insert
     # ------------------------------------------------------------------ #
 
-    def insert(self, key: int, value: int, target_rank: Optional[int] = None) -> bool:
+    async def insert(self, key: int, value: int, target_rank: Optional[int] = None) -> bool:
         """Insert ``key -> value``; returns False when the key already exists.
 
         ``target_rank`` overrides the home rank (the Figure 6 benchmark directs
@@ -159,21 +159,21 @@ class DHTHandle:
         # Claim a heap slot for the new element up-front (the common case needs
         # it; an unused slot on a duplicate key is wasted but harmless, which is
         # how fixed-array RMA hashtables typically behave).
-        slot = ctx.fao(1, rank, spec.next_free_offset, AtomicOp.SUM)
-        ctx.flush(rank)
+        slot = await ctx.fao(1, rank, spec.next_free_offset, AtomicOp.SUM)
+        await ctx.flush(rank)
         if slot >= spec.heap_size:
             raise DHTFullError(
                 f"local volume of rank {rank} is full ({spec.heap_size} overflow slots)"
             )
         key_off, value_off, next_off = spec.element_offsets(slot)
-        ctx.put(key, rank, key_off)
-        ctx.put(value, rank, value_off)
-        ctx.put(_EMPTY, rank, next_off)
-        ctx.flush(rank)
+        await ctx.put(key, rank, key_off)
+        await ctx.put(value, rank, value_off)
+        await ctx.put(_EMPTY, rank, next_off)
+        await ctx.flush(rank)
 
         # Try to become the head of the bucket.
-        prev_head = ctx.cas(slot, _EMPTY, rank, bucket_off)
-        ctx.flush(rank)
+        prev_head = await ctx.cas(slot, _EMPTY, rank, bucket_off)
+        await ctx.flush(rank)
         if prev_head == _EMPTY:
             return True
 
@@ -181,12 +181,12 @@ class DHTHandle:
         current = prev_head
         while True:
             cur_key_off, _cur_val_off, cur_next_off = spec.element_offsets(current)
-            existing_key = ctx.get(rank, cur_key_off)
-            ctx.flush(rank)
+            existing_key = await ctx.get(rank, cur_key_off)
+            await ctx.flush(rank)
             if existing_key == key:
                 return False
-            prev_next = ctx.cas(slot, _EMPTY, rank, cur_next_off)
-            ctx.flush(rank)
+            prev_next = await ctx.cas(slot, _EMPTY, rank, cur_next_off)
+            await ctx.flush(rank)
             if prev_next == _EMPTY:
                 return True
             current = prev_next
@@ -195,54 +195,54 @@ class DHTHandle:
     # Lookup
     # ------------------------------------------------------------------ #
 
-    def lookup(self, key: int, target_rank: Optional[int] = None) -> Optional[int]:
+    async def lookup(self, key: int, target_rank: Optional[int] = None) -> Optional[int]:
         """Return the value stored under ``key`` or ``None`` when absent."""
         spec = self.spec
         ctx = self.ctx
         rank = spec.home_rank(key) if target_rank is None else target_rank
         bucket_off = spec.bucket_offset(spec.bucket_of(key))
 
-        current = ctx.get(rank, bucket_off)
-        ctx.flush(rank)
+        current = await ctx.get(rank, bucket_off)
+        await ctx.flush(rank)
         while current != _EMPTY:
             key_off, value_off, next_off = spec.element_offsets(current)
-            stored_key = ctx.get(rank, key_off)
-            stored_value = ctx.get(rank, value_off)
-            nxt = ctx.get(rank, next_off)
-            ctx.flush(rank)
+            stored_key = await ctx.get(rank, key_off)
+            stored_value = await ctx.get(rank, value_off)
+            nxt = await ctx.get(rank, next_off)
+            await ctx.flush(rank)
             if stored_key == key:
                 return stored_value
             current = nxt
         return None
 
-    def contains(self, key: int, target_rank: Optional[int] = None) -> bool:
+    async def contains(self, key: int, target_rank: Optional[int] = None) -> bool:
         """True when ``key`` is present."""
-        return self.lookup(key, target_rank=target_rank) is not None
+        return await self.lookup(key, target_rank=target_rank) is not None
 
     # ------------------------------------------------------------------ #
     # Inspection (test helpers; not part of the RMA protocol)
     # ------------------------------------------------------------------ #
 
-    def local_volume_usage(self, rank: int) -> int:
+    async def local_volume_usage(self, rank: int) -> int:
         """Number of overflow-heap slots claimed in ``rank``'s volume."""
         ctx = self.ctx
-        used = ctx.get(rank, self.spec.next_free_offset)
-        ctx.flush(rank)
+        used = await ctx.get(rank, self.spec.next_free_offset)
+        await ctx.flush(rank)
         return min(used, self.spec.heap_size)
 
-    def dump_volume(self, rank: int) -> List[Tuple[int, int]]:
+    async def dump_volume(self, rank: int) -> List[Tuple[int, int]]:
         """All ``(key, value)`` pairs reachable from the buckets of ``rank``'s volume."""
         ctx = self.ctx
         spec = self.spec
         out: List[Tuple[int, int]] = []
         for b in range(spec.table_size):
-            current = ctx.get(rank, spec.bucket_offset(b))
-            ctx.flush(rank)
+            current = await ctx.get(rank, spec.bucket_offset(b))
+            await ctx.flush(rank)
             while current != _EMPTY:
                 key_off, value_off, next_off = spec.element_offsets(current)
-                key = ctx.get(rank, key_off)
-                value = ctx.get(rank, value_off)
-                current = ctx.get(rank, next_off)
-                ctx.flush(rank)
+                key = await ctx.get(rank, key_off)
+                value = await ctx.get(rank, value_off)
+                current = await ctx.get(rank, next_off)
+                await ctx.flush(rank)
                 out.append((key, value))
         return out

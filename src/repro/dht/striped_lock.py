@@ -89,83 +89,83 @@ class StripedRWLockHandle:
 
     # -- reader side ------------------------------------------------------- #
 
-    def acquire_read(self, volume: int) -> None:
+    async def acquire_read(self, volume: int) -> None:
         """Enter volume ``volume`` as a reader (shared access to that stripe)."""
         self._check_volume(volume)
         ctx = self.ctx
         offset = self.spec.word_offset
         while True:
-            prev = ctx.fao(1, volume, offset, AtomicOp.SUM)
-            ctx.flush(volume)
+            prev = await ctx.fao(1, volume, offset, AtomicOp.SUM)
+            await ctx.flush(volume)
             if prev < _WRITER_BIT:
                 return
-            ctx.accumulate(-1, volume, offset, AtomicOp.SUM)
-            ctx.flush(volume)
-            ctx.spin_while(volume, offset, lambda v: v >= _WRITER_BIT)
+            await ctx.accumulate(-1, volume, offset, AtomicOp.SUM)
+            await ctx.flush(volume)
+            await ctx.spin_while(volume, offset, lambda v: v >= _WRITER_BIT)
 
-    def release_read(self, volume: int) -> None:
+    async def release_read(self, volume: int) -> None:
         self._check_volume(volume)
         ctx = self.ctx
-        ctx.accumulate(-1, volume, self.spec.word_offset, AtomicOp.SUM)
-        ctx.flush(volume)
+        await ctx.accumulate(-1, volume, self.spec.word_offset, AtomicOp.SUM)
+        await ctx.flush(volume)
 
     # -- writer side ------------------------------------------------------- #
 
-    def acquire_write(self, volume: int) -> None:
+    async def acquire_write(self, volume: int) -> None:
         """Enter volume ``volume`` exclusively."""
         self._check_volume(volume)
         ctx = self.ctx
         offset = self.spec.word_offset
         while True:
-            current = ctx.get(volume, offset)
-            ctx.flush(volume)
+            current = await ctx.get(volume, offset)
+            await ctx.flush(volume)
             if current >= _WRITER_BIT:
-                ctx.spin_while(volume, offset, lambda v: v >= _WRITER_BIT)
+                await ctx.spin_while(volume, offset, lambda v: v >= _WRITER_BIT)
                 continue
-            prev = ctx.cas(current + _WRITER_BIT, current, volume, offset)
-            ctx.flush(volume)
+            prev = await ctx.cas(current + _WRITER_BIT, current, volume, offset)
+            await ctx.flush(volume)
             if prev == current:
                 break
         # Wait for the readers already inside this stripe to drain.
-        ctx.spin_while(volume, offset, lambda v: v != _WRITER_BIT)
+        await ctx.spin_while(volume, offset, lambda v: v != _WRITER_BIT)
 
-    def release_write(self, volume: int) -> None:
+    async def release_write(self, volume: int) -> None:
         self._check_volume(volume)
         ctx = self.ctx
-        ctx.accumulate(-_WRITER_BIT, volume, self.spec.word_offset, AtomicOp.SUM)
-        ctx.flush(volume)
+        await ctx.accumulate(-_WRITER_BIT, volume, self.spec.word_offset, AtomicOp.SUM)
+        await ctx.flush(volume)
 
     # -- convenience -------------------------------------------------------- #
 
     def reading(self, volume: int):
-        """Context-manager form of the reader side for one stripe."""
+        """Async context-manager form of the reader side for one stripe."""
         return _StripeGuard(self, volume, writer=False)
 
     def writing(self, volume: int):
-        """Context-manager form of the writer side for one stripe."""
+        """Async context-manager form of the writer side for one stripe."""
         return _StripeGuard(self, volume, writer=True)
 
 
 class _StripeGuard:
-    """Context manager binding one stripe of a :class:`StripedRWLockHandle`."""
+    """Async context manager binding one stripe of a :class:`StripedRWLockHandle`."""
 
     def __init__(self, handle: StripedRWLockHandle, volume: int, *, writer: bool):
         self.handle = handle
         self.volume = volume
         self.writer = writer
 
-    def __enter__(self):
+    async def __aenter__(self):
         if self.writer:
-            self.handle.acquire_write(self.volume)
+            await self.handle.acquire_write(self.volume)
         else:
-            self.handle.acquire_read(self.volume)
+            await self.handle.acquire_read(self.volume)
         return self
 
-    def __exit__(self, exc_type, exc, tb):
+    async def __aexit__(self, exc_type, exc, tb):
         if self.writer:
-            self.handle.release_write(self.volume)
+            await self.handle.release_write(self.volume)
         else:
-            self.handle.release_read(self.volume)
+            await self.handle.release_read(self.volume)
         return False
 
 
@@ -210,17 +210,17 @@ class StripeBoundRWLockHandle(RWLockHandle):
         self.inner = inner
         self.volume = volume
 
-    def acquire_read(self) -> None:
-        self.inner.acquire_read(self.volume)
+    async def acquire_read(self) -> None:
+        await self.inner.acquire_read(self.volume)
 
-    def release_read(self) -> None:
-        self.inner.release_read(self.volume)
+    async def release_read(self) -> None:
+        await self.inner.release_read(self.volume)
 
-    def acquire_write(self) -> None:
-        self.inner.acquire_write(self.volume)
+    async def acquire_write(self) -> None:
+        await self.inner.acquire_write(self.volume)
 
-    def release_write(self) -> None:
-        self.inner.release_write(self.volume)
+    async def release_write(self) -> None:
+        await self.inner.release_write(self.volume)
 
 
 # --------------------------------------------------------------------------- #

@@ -164,11 +164,11 @@ def _dht_program(dht_spec: DHTSpec, lock_spec, config: DHTWorkloadConfig):
     by_key = config.access_pattern == "by-key"
     striped = isinstance(lock_spec, StripedRWLockSpec)
 
-    def program(ctx: ProcessContext):
+    async def program(ctx: ProcessContext):
         dht = dht_spec.make(ctx)
         lock = lock_spec.make(ctx) if lock_spec is not None else None
         rng = ctx.rng
-        ctx.barrier()
+        await ctx.barrier()
         start = ctx.now()
         inserts = 0
         lookups = 0
@@ -181,27 +181,27 @@ def _dht_program(dht_spec: DHTSpec, lock_spec, config: DHTWorkloadConfig):
                 is_insert = bool(rng.random() < config.fw)
                 if is_insert:
                     if striped:
-                        lock.acquire_write(volume)
+                        await lock.acquire_write(volume)
                     elif lock is not None:
-                        lock.acquire_write()
-                    dht.insert(key, key + 1, target_rank=target)
+                        await lock.acquire_write()
+                    await dht.insert(key, key + 1, target_rank=target)
                     if striped:
-                        lock.release_write(volume)
+                        await lock.release_write(volume)
                     elif lock is not None:
-                        lock.release_write()
+                        await lock.release_write()
                     inserts += 1
                 else:
                     if striped:
-                        lock.acquire_read(volume)
+                        await lock.acquire_read(volume)
                     elif lock is not None:
-                        lock.acquire_read()
-                    dht.lookup(key, target_rank=target)
+                        await lock.acquire_read()
+                    await dht.lookup(key, target_rank=target)
                     if striped:
-                        lock.release_read(volume)
+                        await lock.release_read(volume)
                     elif lock is not None:
-                        lock.release_read()
+                        await lock.release_read()
                     lookups += 1
-        ctx.barrier()
+        await ctx.barrier()
         return {"start": start, "end": ctx.now(), "inserts": inserts, "lookups": lookups}
 
     return program

@@ -150,7 +150,7 @@ class LeaseLockHandle(LockHandle):
             if on_lease is not None:
                 on_lease(self.ctx.rank, float(deadline_us))
 
-    def acquire(self) -> None:
+    async def acquire(self) -> None:
         ctx = self.ctx
         spec = self.spec
         home = spec.home_rank
@@ -158,14 +158,14 @@ class LeaseLockHandle(LockHandle):
         give_up_at = ctx.now() + spec.patience_us
         backoff = _BACKOFF_MIN_US
         while True:
-            word = ctx.get(home, off)
-            ctx.flush(home)
+            word = await ctx.get(home, off)
+            await ctx.flush(home)
             now = ctx.now()
             if word == 0:
                 deadline = self._deadline(now)
                 new = _pack(deadline, 0, ctx.rank)
-                prev = ctx.cas(new, 0, home, off)
-                ctx.flush(home)
+                prev = await ctx.cas(new, 0, home, off)
+                await ctx.flush(home)
                 if prev == 0:
                     self._held_word = new
                     self._announce_lease(deadline)
@@ -179,8 +179,8 @@ class LeaseLockHandle(LockHandle):
                     # another waiter (or a late release) got there first.
                     deadline = self._deadline(now)
                     new = _pack(deadline, epoch + 1, ctx.rank)
-                    prev = ctx.cas(new, word, home, off)
-                    ctx.flush(home)
+                    prev = await ctx.cas(new, word, home, off)
+                    await ctx.flush(home)
                     if prev == word:
                         self._held_word = new
                         self._announce_lease(deadline)
@@ -190,16 +190,16 @@ class LeaseLockHandle(LockHandle):
                     f"rank {ctx.rank} gave up on the lease lock after "
                     f"{spec.patience_us:g}us of polling"
                 )
-            ctx.compute(backoff)
+            await ctx.compute(backoff)
             backoff = min(backoff * 2.0, _BACKOFF_MAX_US)
 
-    def release(self) -> None:
+    async def release(self) -> None:
         ctx = self.ctx
         spec = self.spec
         word = self._held_word
         self._held_word = 0
-        prev = ctx.cas(0, word, spec.home_rank, spec.lock_offset)
-        ctx.flush(spec.home_rank)
+        prev = await ctx.cas(0, word, spec.home_rank, spec.lock_offset)
+        await ctx.flush(spec.home_rank)
         if prev != word:
             # Fenced: our lease expired and a waiter installed a new word
             # (later deadline, bumped epoch).  The lock now belongs to the

@@ -105,64 +105,64 @@ class RepairMCSLockHandle(LockHandle):
         self.spec = spec
         self.ctx = ctx
 
-    def acquire(self) -> None:
+    async def acquire(self) -> None:
         ctx = self.ctx
         spec = self.spec
         me = ctx.rank
         # Reset this rank's queue node, then swap into the tail.
-        ctx.put(0, me, spec.next_offset)
-        ctx.put(_WAIT, me, spec.status_offset)
-        ctx.flush(me)
-        prev = ctx.fao(me + 1, spec.home_rank, spec.tail_offset, AtomicOp.REPLACE)
-        ctx.flush(spec.home_rank)
+        await ctx.put(0, me, spec.next_offset)
+        await ctx.put(_WAIT, me, spec.status_offset)
+        await ctx.flush(me)
+        prev = await ctx.fao(me + 1, spec.home_rank, spec.tail_offset, AtomicOp.REPLACE)
+        await ctx.flush(spec.home_rank)
         if prev == 0:
             return  # queue was empty: lock acquired
         pred = prev - 1
-        ctx.put(me + 1, pred, spec.next_offset)
-        ctx.flush(pred)
-        ctx.spin_while(me, spec.status_offset, lambda v: v == _WAIT)
+        await ctx.put(me + 1, pred, spec.next_offset)
+        await ctx.flush(pred)
+        await ctx.spin_while(me, spec.status_offset, lambda v: v == _WAIT)
 
-    def release(self) -> None:
+    async def release(self) -> None:
         ctx = self.ctx
         spec = self.spec
         me = ctx.rank
-        nxt = ctx.get(me, spec.next_offset)
-        ctx.flush(me)
+        nxt = await ctx.get(me, spec.next_offset)
+        await ctx.flush(me)
         if nxt == 0:
             # No linked successor: try to close the queue.
-            prev = ctx.cas(0, me + 1, spec.home_rank, spec.tail_offset)
-            ctx.flush(spec.home_rank)
+            prev = await ctx.cas(0, me + 1, spec.home_rank, spec.tail_offset)
+            await ctx.flush(spec.home_rank)
             if prev == me + 1:
                 return  # queue drained
             # A racer swapped behind us and is about to link: wait for it.
-            nxt = ctx.spin_while(me, spec.next_offset, lambda v: v == 0)
-        self._grant(nxt - 1)
+            nxt = await ctx.spin_while(me, spec.next_offset, lambda v: v == 0)
+        await self._grant(nxt - 1)
 
     # -- repair walk ------------------------------------------------------- #
 
-    def _grant(self, succ: int) -> None:
+    async def _grant(self, succ: int) -> None:
         """Grant the lock to ``succ``, splicing out dead successors first."""
         ctx = self.ctx
         spec = self.spec
         fault = getattr(ctx, "fault", None)
         while fault is not None and fault.dead_at(succ, ctx.now()):
-            nn = ctx.get(succ, spec.next_offset)
-            ctx.flush(succ)
+            nn = await ctx.get(succ, spec.next_offset)
+            await ctx.flush(succ)
             if nn == 0:
                 # The dead successor looks like the tail: try to close the
                 # queue over it.
-                prev = ctx.cas(0, succ + 1, spec.home_rank, spec.tail_offset)
-                ctx.flush(spec.home_rank)
+                prev = await ctx.cas(0, succ + 1, spec.home_rank, spec.tail_offset)
+                await ctx.flush(spec.home_rank)
                 if prev == succ + 1:
                     return  # queue drained; the lock is free again
-                nn = self._settle_race(succ)
+                nn = await self._settle_race(succ)
                 if nn == 0:
                     return  # (racy mutant only: orphans the racer)
             succ = nn - 1
-        ctx.put(_GRANTED, succ, spec.status_offset)
-        ctx.flush(succ)
+        await ctx.put(_GRANTED, succ, spec.status_offset)
+        await ctx.flush(succ)
 
-    def _settle_race(self, dead: int) -> int:
+    async def _settle_race(self, dead: int) -> int:
         """The closing CAS lost: a racer is mid-enqueue behind ``dead``.
 
         The racer already swapped itself into TAIL and is about to write its
@@ -170,7 +170,7 @@ class RepairMCSLockHandle(LockHandle):
         RMA is one-sided).  Re-poll that word until the link lands, then
         return it so the walk can continue to the racer.
         """
-        return self.ctx.spin_while(dead, self.spec.next_offset, lambda v: v == 0)
+        return await self.ctx.spin_while(dead, self.spec.next_offset, lambda v: v == 0)
 
 
 class RacyRepairMCSLockHandle(RepairMCSLockHandle):
@@ -182,7 +182,7 @@ class RacyRepairMCSLockHandle(RepairMCSLockHandle):
     every crash-free run.
     """
 
-    def _settle_race(self, dead: int) -> int:
+    async def _settle_race(self, dead: int) -> int:
         return 0  # WRONG: the racer linked (or will link) behind ``dead``.
 
 

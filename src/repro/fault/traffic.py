@@ -48,7 +48,7 @@ _CS_US = 1.5
 def _make_crash_traffic_program(config: Any, spec: Any, is_rw: bool):
     requests = int(config.iterations)
 
-    def program(ctx: ProcessContext):
+    async def program(ctx: ProcessContext):
         lock = spec.make(ctx)
         observer = getattr(ctx, "observer", None)
         if observer is not None:
@@ -58,7 +58,7 @@ def _make_crash_traffic_program(config: Any, spec: Any, is_rw: bool):
         rng_uniform = ctx.rng.uniform
         now = ctx.now
         compute = ctx.compute
-        ctx.barrier()
+        await ctx.barrier()
         t_open = now()
         latencies: List[float] = []
         completed = 0
@@ -68,21 +68,21 @@ def _make_crash_traffic_program(config: Any, spec: Any, is_rw: bool):
             arrival = t_open + i * _GAP_US + float(rng_uniform(0.0, _JITTER_US))
             t_now = now()
             if arrival > t_now:
-                compute(arrival - t_now)
+                await compute(arrival - t_now)
             if is_rw:
                 rw_lock: RWLockHandle = lock  # type: ignore[assignment]
-                rw_lock.acquire_write()
+                await rw_lock.acquire_write()
             else:
-                lock.acquire()
-            compute(_CS_US)
+                await lock.acquire()
+            await compute(_CS_US)
             if is_rw:
-                rw_lock.release_write()
+                await rw_lock.release_write()
             else:
-                lock.release()
+                await lock.release()
             latencies.append(now() - arrival)
             completed += 1
         end = now()
-        ctx.barrier()
+        await ctx.barrier()
         return {
             "start": t_open,
             "end": end,

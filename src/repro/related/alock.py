@@ -130,7 +130,7 @@ class ALockHandle(LockHandle):
         #: Owner-word CAS attempts of the most recent acquire (for analysis).
         self.last_attempts = 0
 
-    def _claim_owner(self, cap_us: float) -> None:
+    async def _claim_owner(self, cap_us: float) -> None:
         """Spin-CAS the owner word with bounded exponential backoff."""
         ctx = self.ctx
         spec = self.spec
@@ -138,59 +138,59 @@ class ALockHandle(LockHandle):
         attempts = 0
         while True:
             attempts += 1
-            prev = ctx.cas(ctx.rank, NULL_RANK, spec.home_rank, spec.owner_offset)
-            ctx.flush(spec.home_rank)
+            prev = await ctx.cas(ctx.rank, NULL_RANK, spec.home_rank, spec.owner_offset)
+            await ctx.flush(spec.home_rank)
             if prev == NULL_RANK:
                 self.last_attempts = attempts
                 return
-            ctx.compute(float(ctx.rng.uniform(0.5, 1.0)) * backoff)
+            await ctx.compute(float(ctx.rng.uniform(0.5, 1.0)) * backoff)
             backoff = min(backoff * 2.0, cap_us)
 
-    def acquire(self) -> None:
+    async def acquire(self) -> None:
         ctx = self.ctx
         spec = self.spec
         if self._local:
-            self._claim_owner(spec.local_cap_us)
+            await self._claim_owner(spec.local_cap_us)
             return
         # Remote slow path: MCS enqueue, then only the head claims the owner.
-        ctx.put(NULL_RANK, ctx.rank, spec.next_offset)
-        ctx.put(_WAIT, ctx.rank, spec.status_offset)
-        ctx.flush(ctx.rank)
-        pred = ctx.fao(ctx.rank, spec.home_rank, spec.tail_offset, AtomicOp.REPLACE)
-        ctx.flush(spec.home_rank)
+        await ctx.put(NULL_RANK, ctx.rank, spec.next_offset)
+        await ctx.put(_WAIT, ctx.rank, spec.status_offset)
+        await ctx.flush(ctx.rank)
+        pred = await ctx.fao(ctx.rank, spec.home_rank, spec.tail_offset, AtomicOp.REPLACE)
+        await ctx.flush(spec.home_rank)
         if pred != NULL_RANK:
-            ctx.put(ctx.rank, pred, spec.next_offset)
-            ctx.flush(pred)
-            ctx.spin_while(ctx.rank, spec.status_offset, lambda s: s == _WAIT)
-        self._claim_owner(spec.remote_cap_us)
+            await ctx.put(ctx.rank, pred, spec.next_offset)
+            await ctx.flush(pred)
+            await ctx.spin_while(ctx.rank, spec.status_offset, lambda s: s == _WAIT)
+        await self._claim_owner(spec.remote_cap_us)
 
-    def release(self) -> None:
+    async def release(self) -> None:
         ctx = self.ctx
         spec = self.spec
-        ctx.put(NULL_RANK, spec.home_rank, spec.owner_offset)
-        ctx.flush(spec.home_rank)
+        await ctx.put(NULL_RANK, spec.home_rank, spec.owner_offset)
+        await ctx.flush(spec.home_rank)
         if self._local:
             return
         # Hand the remote-queue headship to the successor (plain MCS exit).
-        succ = ctx.get(ctx.rank, spec.next_offset)
-        ctx.flush(ctx.rank)
+        succ = await ctx.get(ctx.rank, spec.next_offset)
+        await ctx.flush(ctx.rank)
         if succ == NULL_RANK:
-            curr = ctx.cas(NULL_RANK, ctx.rank, spec.home_rank, spec.tail_offset)
-            ctx.flush(spec.home_rank)
+            curr = await ctx.cas(NULL_RANK, ctx.rank, spec.home_rank, spec.tail_offset)
+            await ctx.flush(spec.home_rank)
             if curr == ctx.rank:
                 return
-            succ = ctx.spin_while(ctx.rank, spec.next_offset, lambda nxt: nxt == NULL_RANK)
-        ctx.put(_HEAD, succ, spec.status_offset)
-        ctx.flush(succ)
+            succ = await ctx.spin_while(ctx.rank, spec.next_offset, lambda nxt: nxt == NULL_RANK)
+        await ctx.put(_HEAD, succ, spec.status_offset)
+        await ctx.flush(succ)
 
     # -- inspection --------------------------------------------------------- #
 
-    def holder(self) -> int:
+    async def holder(self) -> int:
         """Rank currently holding the lock (``NULL_RANK`` when free)."""
         ctx = self.ctx
         spec = self.spec
-        value = ctx.get(spec.home_rank, spec.owner_offset)
-        ctx.flush(spec.home_rank)
+        value = await ctx.get(spec.home_rank, spec.owner_offset)
+        await ctx.flush(spec.home_rank)
         return value
 
 

@@ -127,41 +127,41 @@ class CohortTicketLockHandle(LockHandle):
     # Acquire
     # ------------------------------------------------------------------ #
 
-    def acquire(self) -> None:
+    async def acquire(self) -> None:
         ctx = self.ctx
         spec = self.spec
         leader = self._leader
         # Local ticket lock: one process per node proceeds past this point.
-        ticket = ctx.fao(1, leader, spec.local_next_offset, AtomicOp.SUM)
-        ctx.flush(leader)
+        ticket = await ctx.fao(1, leader, spec.local_next_offset, AtomicOp.SUM)
+        await ctx.flush(leader)
         self._local_ticket = ticket
-        serving = ctx.get(leader, spec.local_serving_offset)
-        ctx.flush(leader)
+        serving = await ctx.get(leader, spec.local_serving_offset)
+        await ctx.flush(leader)
         if serving != ticket:
-            ctx.spin_while(leader, spec.local_serving_offset, lambda s: s != ticket)
+            await ctx.spin_while(leader, spec.local_serving_offset, lambda s: s != ticket)
         # If a node-mate passed the global lock along with the local one we are done.
-        owned = ctx.get(leader, spec.owned_offset)
-        ctx.flush(leader)
+        owned = await ctx.get(leader, spec.owned_offset)
+        await ctx.flush(leader)
         if owned != 0:
             self.last_acquired_global = False
             return
         # Otherwise acquire the global ticket lock on behalf of the node.
-        g_ticket = ctx.fao(1, spec.home_rank, spec.global_next_offset, AtomicOp.SUM)
-        ctx.flush(spec.home_rank)
-        g_serving = ctx.get(spec.home_rank, spec.global_serving_offset)
-        ctx.flush(spec.home_rank)
+        g_ticket = await ctx.fao(1, spec.home_rank, spec.global_next_offset, AtomicOp.SUM)
+        await ctx.flush(spec.home_rank)
+        g_serving = await ctx.get(spec.home_rank, spec.global_serving_offset)
+        await ctx.flush(spec.home_rank)
         if g_serving != g_ticket:
-            ctx.spin_while(spec.home_rank, spec.global_serving_offset, lambda s: s != g_ticket)
-        ctx.put(1, leader, spec.owned_offset)
-        ctx.put(0, leader, spec.passes_offset)
-        ctx.flush(leader)
+            await ctx.spin_while(spec.home_rank, spec.global_serving_offset, lambda s: s != g_ticket)
+        await ctx.put(1, leader, spec.owned_offset)
+        await ctx.put(0, leader, spec.passes_offset)
+        await ctx.flush(leader)
         self.last_acquired_global = True
 
     # ------------------------------------------------------------------ #
     # Release
     # ------------------------------------------------------------------ #
 
-    def release(self) -> None:
+    async def release(self) -> None:
         ctx = self.ctx
         spec = self.spec
         leader = self._leader
@@ -170,24 +170,24 @@ class CohortTicketLockHandle(LockHandle):
         my_ticket = self._local_ticket
         self._local_ticket = None
 
-        next_ticket = ctx.get(leader, spec.local_next_offset)
-        passes = ctx.get(leader, spec.passes_offset)
-        ctx.flush(leader)
+        next_ticket = await ctx.get(leader, spec.local_next_offset)
+        passes = await ctx.get(leader, spec.passes_offset)
+        await ctx.flush(leader)
         successor_waiting = next_ticket > my_ticket + 1
         if successor_waiting and passes < spec.max_local_passes:
             # Pass both the local lock and the global ownership to a node-mate.
-            ctx.accumulate(1, leader, spec.passes_offset, AtomicOp.SUM)
-            ctx.accumulate(1, leader, spec.local_serving_offset, AtomicOp.SUM)
-            ctx.flush(leader)
+            await ctx.accumulate(1, leader, spec.passes_offset, AtomicOp.SUM)
+            await ctx.accumulate(1, leader, spec.local_serving_offset, AtomicOp.SUM)
+            await ctx.flush(leader)
             return
         # Give the global lock back (clear ownership before letting the next
         # node-mate in, so it goes through the global queue itself).
-        ctx.put(0, leader, spec.owned_offset)
-        ctx.flush(leader)
-        ctx.accumulate(1, spec.home_rank, spec.global_serving_offset, AtomicOp.SUM)
-        ctx.flush(spec.home_rank)
-        ctx.accumulate(1, leader, spec.local_serving_offset, AtomicOp.SUM)
-        ctx.flush(leader)
+        await ctx.put(0, leader, spec.owned_offset)
+        await ctx.flush(leader)
+        await ctx.accumulate(1, spec.home_rank, spec.global_serving_offset, AtomicOp.SUM)
+        await ctx.flush(spec.home_rank)
+        await ctx.accumulate(1, leader, spec.local_serving_offset, AtomicOp.SUM)
+        await ctx.flush(leader)
 
 
 # --------------------------------------------------------------------------- #

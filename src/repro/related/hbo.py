@@ -108,37 +108,37 @@ class HBOLockHandle(LockHandle):
             return spec.local_cap_us
         return spec.remote_cap_us
 
-    def acquire(self) -> None:
+    async def acquire(self) -> None:
         ctx = self.ctx
         spec = self.spec
         backoff = spec.min_backoff_us
         attempts = 0
         while True:
             attempts += 1
-            prev = ctx.cas(ctx.rank, NULL_RANK, spec.home_rank, spec.lock_offset)
-            ctx.flush(spec.home_rank)
+            prev = await ctx.cas(ctx.rank, NULL_RANK, spec.home_rank, spec.lock_offset)
+            await ctx.flush(spec.home_rank)
             if prev == NULL_RANK:
                 self.last_attempts = attempts
                 return
             cap = self._backoff_cap(prev)
             backoff = min(backoff * 2.0, cap)
             # Randomize within the current window to avoid lock-step retries.
-            ctx.compute(float(ctx.rng.uniform(0.5, 1.0)) * backoff)
+            await ctx.compute(float(ctx.rng.uniform(0.5, 1.0)) * backoff)
 
-    def release(self) -> None:
+    async def release(self) -> None:
         ctx = self.ctx
         spec = self.spec
-        ctx.put(NULL_RANK, spec.home_rank, spec.lock_offset)
-        ctx.flush(spec.home_rank)
+        await ctx.put(NULL_RANK, spec.home_rank, spec.lock_offset)
+        await ctx.flush(spec.home_rank)
 
     # -- inspection --------------------------------------------------------- #
 
-    def holder(self) -> Optional[int]:
+    async def holder(self) -> Optional[int]:
         """Rank currently holding the lock, or ``None`` when it is free."""
         ctx = self.ctx
         spec = self.spec
-        value = ctx.get(spec.home_rank, spec.lock_offset)
-        ctx.flush(spec.home_rank)
+        value = await ctx.get(spec.home_rank, spec.lock_offset)
+        await ctx.flush(spec.home_rank)
         return None if value == NULL_RANK else value
 
 

@@ -114,54 +114,54 @@ class LockServerHandle(LockHandle):
         #: Poll rounds of the most recent acquire (0 = queued immediately).
         self.last_polls = 0
 
-    def acquire(self) -> None:
+    async def acquire(self) -> None:
         ctx = self.ctx
         spec = self.spec
         server = spec.server_rank
         backoff = spec.min_backoff_us
         polls = 0
         while True:
-            nt = ctx.get(server, spec.next_offset)
-            grant = ctx.get(server, spec.grant_offset)
-            ctx.flush(server)
+            nt = await ctx.get(server, spec.next_offset)
+            grant = await ctx.get(server, spec.grant_offset)
+            await ctx.flush(server)
             depth = nt - grant
             if depth > spec.queue_threshold:
                 # Contended past the policy threshold: register in the queue.
-                ticket = ctx.fao(1, server, spec.next_offset, AtomicOp.SUM)
-                ctx.flush(server)
+                ticket = await ctx.fao(1, server, spec.next_offset, AtomicOp.SUM)
+                await ctx.flush(server)
                 break
             if depth == 0:
                 # Retry claim: take ticket ``nt`` iff nobody registered since
                 # the read — the CAS *is* the registration, so the ticket
                 # invariant (unique tickets, served in order) is untouched.
-                prev = ctx.cas(nt + 1, nt, server, spec.next_offset)
-                ctx.flush(server)
+                prev = await ctx.cas(nt + 1, nt, server, spec.next_offset)
+                await ctx.flush(server)
                 if prev == nt:
                     ticket = nt
                     break
             polls += 1
-            ctx.compute(float(ctx.rng.uniform(0.5, 1.0)) * backoff)
+            await ctx.compute(float(ctx.rng.uniform(0.5, 1.0)) * backoff)
             backoff = min(backoff * 2.0, spec.poll_cap_us)
         self._ticket = ticket
         self.last_polls = polls
-        ctx.spin_while(server, spec.grant_offset, lambda g: g != ticket)
+        await ctx.spin_while(server, spec.grant_offset, lambda g: g != ticket)
 
-    def release(self) -> None:
+    async def release(self) -> None:
         ctx = self.ctx
         spec = self.spec
         self._ticket = -1
-        ctx.accumulate(1, spec.server_rank, spec.grant_offset, AtomicOp.SUM)
-        ctx.flush(spec.server_rank)
+        await ctx.accumulate(1, spec.server_rank, spec.grant_offset, AtomicOp.SUM)
+        await ctx.flush(spec.server_rank)
 
     # -- inspection --------------------------------------------------------- #
 
-    def queue_depth(self) -> int:
+    async def queue_depth(self) -> int:
         """Currently observable queue depth (issued - served tickets)."""
         ctx = self.ctx
         spec = self.spec
-        nt = ctx.get(spec.server_rank, spec.next_offset)
-        grant = ctx.get(spec.server_rank, spec.grant_offset)
-        ctx.flush(spec.server_rank)
+        nt = await ctx.get(spec.server_rank, spec.next_offset)
+        grant = await ctx.get(spec.server_rank, spec.grant_offset)
+        await ctx.flush(spec.server_rank)
         return nt - grant
 
 

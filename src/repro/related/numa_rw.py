@@ -119,53 +119,53 @@ class NumaRWLockHandle(RWLockHandle):
     # Reader side
     # ------------------------------------------------------------------ #
 
-    def acquire_read(self) -> None:
+    async def acquire_read(self) -> None:
         ctx = self.ctx
         spec = self.spec
         while True:
             # Wait until no writer is active or draining before registering.
-            present = ctx.get(spec.home_rank, spec.writer_present_offset)
-            ctx.flush(spec.home_rank)
+            present = await ctx.get(spec.home_rank, spec.writer_present_offset)
+            await ctx.flush(spec.home_rank)
             if present != 0:
-                ctx.spin_while(spec.home_rank, spec.writer_present_offset, lambda v: v != 0)
+                await ctx.spin_while(spec.home_rank, spec.writer_present_offset, lambda v: v != 0)
             # Register on the node-local counter, then re-check for writers.
-            ctx.accumulate(1, self._counter_rank, spec.readers_offset, AtomicOp.SUM)
-            ctx.flush(self._counter_rank)
-            present = ctx.get(spec.home_rank, spec.writer_present_offset)
-            ctx.flush(spec.home_rank)
+            await ctx.accumulate(1, self._counter_rank, spec.readers_offset, AtomicOp.SUM)
+            await ctx.flush(self._counter_rank)
+            present = await ctx.get(spec.home_rank, spec.writer_present_offset)
+            await ctx.flush(spec.home_rank)
             if present == 0:
                 return
             # A writer arrived between the check and the registration: back
             # off so it can drain, then try again.
-            ctx.accumulate(-1, self._counter_rank, spec.readers_offset, AtomicOp.SUM)
-            ctx.flush(self._counter_rank)
+            await ctx.accumulate(-1, self._counter_rank, spec.readers_offset, AtomicOp.SUM)
+            await ctx.flush(self._counter_rank)
 
-    def release_read(self) -> None:
+    async def release_read(self) -> None:
         ctx = self.ctx
         spec = self.spec
-        ctx.accumulate(-1, self._counter_rank, spec.readers_offset, AtomicOp.SUM)
-        ctx.flush(self._counter_rank)
+        await ctx.accumulate(-1, self._counter_rank, spec.readers_offset, AtomicOp.SUM)
+        await ctx.flush(self._counter_rank)
 
     # ------------------------------------------------------------------ #
     # Writer side
     # ------------------------------------------------------------------ #
 
-    def acquire_write(self) -> None:
+    async def acquire_write(self) -> None:
         ctx = self.ctx
         spec = self.spec
-        self._writer_lock.acquire()
-        ctx.put(1, spec.home_rank, spec.writer_present_offset)
-        ctx.flush(spec.home_rank)
+        await self._writer_lock.acquire()
+        await ctx.put(1, spec.home_rank, spec.writer_present_offset)
+        await ctx.flush(spec.home_rank)
         # Wait for the readers registered on every node to drain.
         for counter_rank in spec.reader_counter_ranks():
-            ctx.spin_while(counter_rank, spec.readers_offset, lambda v: v > 0)
+            await ctx.spin_while(counter_rank, spec.readers_offset, lambda v: v > 0)
 
-    def release_write(self) -> None:
+    async def release_write(self) -> None:
         ctx = self.ctx
         spec = self.spec
-        ctx.put(0, spec.home_rank, spec.writer_present_offset)
-        ctx.flush(spec.home_rank)
-        self._writer_lock.release()
+        await ctx.put(0, spec.home_rank, spec.writer_present_offset)
+        await ctx.flush(spec.home_rank)
+        await self._writer_lock.release()
 
 
 # --------------------------------------------------------------------------- #

@@ -77,36 +77,36 @@ class TicketLockHandle(LockHandle):
         self.ctx = ctx
         self._my_ticket: int | None = None
 
-    def acquire(self) -> None:
+    async def acquire(self) -> None:
         ctx = self.ctx
         spec = self.spec
-        ticket = ctx.fao(1, spec.home_rank, spec.next_ticket_offset, AtomicOp.SUM)
-        ctx.flush(spec.home_rank)
+        ticket = await ctx.fao(1, spec.home_rank, spec.next_ticket_offset, AtomicOp.SUM)
+        await ctx.flush(spec.home_rank)
         self._my_ticket = ticket
-        serving = ctx.get(spec.home_rank, spec.now_serving_offset)
-        ctx.flush(spec.home_rank)
+        serving = await ctx.get(spec.home_rank, spec.now_serving_offset)
+        await ctx.flush(spec.home_rank)
         if serving == ticket:
             return
-        ctx.spin_while(spec.home_rank, spec.now_serving_offset, lambda s: s != ticket)
+        await ctx.spin_while(spec.home_rank, spec.now_serving_offset, lambda s: s != ticket)
 
-    def release(self) -> None:
+    async def release(self) -> None:
         ctx = self.ctx
         spec = self.spec
         if self._my_ticket is None:
             raise RuntimeError("release() without a matching acquire()")
         self._my_ticket = None
-        ctx.accumulate(1, spec.home_rank, spec.now_serving_offset, AtomicOp.SUM)
-        ctx.flush(spec.home_rank)
+        await ctx.accumulate(1, spec.home_rank, spec.now_serving_offset, AtomicOp.SUM)
+        await ctx.flush(spec.home_rank)
 
     # -- inspection --------------------------------------------------------- #
 
-    def queue_length(self) -> int:
+    async def queue_length(self) -> int:
         """Number of processes currently holding or waiting for the lock."""
         ctx = self.ctx
         spec = self.spec
-        nxt = ctx.get(spec.home_rank, spec.next_ticket_offset)
-        serving = ctx.get(spec.home_rank, spec.now_serving_offset)
-        ctx.flush(spec.home_rank)
+        nxt = await ctx.get(spec.home_rank, spec.next_ticket_offset)
+        serving = await ctx.get(spec.home_rank, spec.now_serving_offset)
+        await ctx.flush(spec.home_rank)
         return max(0, nxt - serving)
 
 

@@ -1,4 +1,4 @@
-"""Reference (seed) baton-passing scheduler, preserved verbatim.
+"""Reference (seed) baton-passing scheduler, kept as the differential reference.
 
 This is the original PR-0 discrete-event scheduler: one OS thread per rank, a
 global lock plus an O(P) linear scan per clock advance, and up to two thread
@@ -10,11 +10,14 @@ horizon scheduler in :mod:`repro.rma.sim_runtime`:
 * the perf suite (``benchmarks/test_perf_runtime.py``) measures the horizon
   scheduler speedup against it on the same host.
 
-Do not optimize this module; its value is that it stays byte-for-byte the
-seed behaviour.  The only post-seed additions are the perturbation, observer
-and fault-plan hooks shared with the horizon scheduler (guarded so they are
-inert when unset), which the conformance and fault layers use to cross-check
-perturbed/faulted schedules between both schedulers.
+Do not optimize this module; its value is that it stays the seed behaviour.
+The only post-seed additions are the perturbation, observer and fault-plan
+hooks shared with the horizon scheduler (guarded so they are inert when
+unset), which the conformance and fault layers use to cross-check
+perturbed/faulted schedules between both schedulers, and the coroutine
+calling convention: context methods are ``async def`` wrappers around the
+blocking bodies, and each rank thread drives its program's coroutine with
+:func:`~repro.rma.runtime_base.run_to_completion`, which never suspends.
 
 This backend is the repository's substitute for the paper's Cray XC30 /
 foMPI testbed.  Every rank is a logical process with its own virtual clock
@@ -59,6 +62,8 @@ from repro.rma.runtime_base import (
     RuntimeError_,
     SimDeadlockError,
     WindowInit,
+    run_to_completion,
+    start_program,
 )
 from repro.rma.window import Window
 from repro.topology.machine import Machine
@@ -145,21 +150,21 @@ class BaselineSimProcessContext(ProcessContext):
 
     # -- Listing 1 -------------------------------------------------------- #
 
-    def put(self, src_data: int, target: int, offset: int) -> None:
+    async def put(self, src_data: int, target: int, offset: int) -> None:
         self._rt._issue(self._state, RMACall.PUT, target)
         self._rt._apply_write(self._state, target, offset, lambda w: w.write(offset, int(src_data)))
 
-    def get(self, target: int, offset: int) -> int:
+    async def get(self, target: int, offset: int) -> int:
         self._rt._issue(self._state, RMACall.GET, target)
         return self._rt._read(target, offset)
 
-    def accumulate(self, operand: int, target: int, offset: int, op: AtomicOp = AtomicOp.SUM) -> None:
+    async def accumulate(self, operand: int, target: int, offset: int, op: AtomicOp = AtomicOp.SUM) -> None:
         self._rt._issue(self._state, RMACall.ACCUMULATE, target)
         self._rt._apply_write(
             self._state, target, offset, lambda w: w.apply(offset, int(operand), op)
         )
 
-    def fao(self, operand: int, target: int, offset: int, op: AtomicOp) -> int:
+    async def fao(self, operand: int, target: int, offset: int, op: AtomicOp) -> int:
         self._rt._issue(self._state, RMACall.FAO, target)
         box: List[int] = []
         self._rt._apply_write(
@@ -169,7 +174,7 @@ class BaselineSimProcessContext(ProcessContext):
             self.observer.on_rmw(self.rank, RMACall.FAO)
         return box[0]
 
-    def cas(self, src_data: int, cmp_data: int, target: int, offset: int) -> int:
+    async def cas(self, src_data: int, cmp_data: int, target: int, offset: int) -> int:
         self._rt._issue(self._state, RMACall.CAS, target)
         box: List[int] = []
         self._rt._apply_write(
@@ -182,29 +187,29 @@ class BaselineSimProcessContext(ProcessContext):
             self.observer.on_rmw(self.rank, RMACall.CAS)
         return box[0]
 
-    def flush(self, target: int) -> None:
+    async def flush(self, target: int) -> None:
         self._rt._issue(self._state, RMACall.FLUSH, target)
 
     # -- helpers ----------------------------------------------------------- #
 
-    def spin_on_cells(self, cells: Sequence[Cell], predicate: Callable[[Sequence[int]], bool]) -> List[int]:
+    async def spin_on_cells(self, cells: Sequence[Cell], predicate: Callable[[Sequence[int]], bool]) -> List[int]:
         cells = [(int(t), int(o)) for t, o in cells]
         targets = sorted({t for t, _ in cells})
         while True:
             versions = self._rt._versions_of(cells)
-            values = [self.get(t, o) for t, o in cells]
+            values = [await self.get(t, o) for t, o in cells]
             for t in targets:
-                self.flush(t)
+                await self.flush(t)
             if not predicate(values):
                 return values
             self._rt._park_if_unchanged(self._state, cells, versions)
 
-    def compute(self, duration_us: float) -> None:
+    async def compute(self, duration_us: float) -> None:
         if duration_us < 0:
             raise ValueError("compute duration must be non-negative")
         self._rt._advance(self._state, float(duration_us))
 
-    def barrier(self) -> None:
+    async def barrier(self) -> None:
         self._rt._barrier(self._state)
 
 
@@ -241,31 +246,31 @@ class _FaultedBaselineContext(BaselineSimProcessContext):
         self.incarnation += 1
         self._kill_us = _INF
 
-    def put(self, src_data: int, target: int, offset: int) -> None:
+    async def put(self, src_data: int, target: int, offset: int) -> None:
         self._entry()
-        BaselineSimProcessContext.put(self, src_data, target, offset)
+        await BaselineSimProcessContext.put(self, src_data, target, offset)
 
-    def get(self, target: int, offset: int) -> int:
+    async def get(self, target: int, offset: int) -> int:
         self._entry()
-        return BaselineSimProcessContext.get(self, target, offset)
+        return await BaselineSimProcessContext.get(self, target, offset)
 
-    def accumulate(self, operand: int, target: int, offset: int, op: AtomicOp = AtomicOp.SUM) -> None:
+    async def accumulate(self, operand: int, target: int, offset: int, op: AtomicOp = AtomicOp.SUM) -> None:
         self._entry()
-        BaselineSimProcessContext.accumulate(self, operand, target, offset, op)
+        await BaselineSimProcessContext.accumulate(self, operand, target, offset, op)
 
-    def fao(self, operand: int, target: int, offset: int, op: AtomicOp) -> int:
+    async def fao(self, operand: int, target: int, offset: int, op: AtomicOp) -> int:
         self._entry()
-        return BaselineSimProcessContext.fao(self, operand, target, offset, op)
+        return await BaselineSimProcessContext.fao(self, operand, target, offset, op)
 
-    def cas(self, src_data: int, cmp_data: int, target: int, offset: int) -> int:
+    async def cas(self, src_data: int, cmp_data: int, target: int, offset: int) -> int:
         self._entry()
-        return BaselineSimProcessContext.cas(self, src_data, cmp_data, target, offset)
+        return await BaselineSimProcessContext.cas(self, src_data, cmp_data, target, offset)
 
-    def flush(self, target: int) -> None:
+    async def flush(self, target: int) -> None:
         self._entry()
-        BaselineSimProcessContext.flush(self, target)
+        await BaselineSimProcessContext.flush(self, target)
 
-    def spin_on_cells(self, cells: Sequence[Cell], predicate: Callable[[Sequence[int]], bool]) -> List[int]:
+    async def spin_on_cells(self, cells: Sequence[Cell], predicate: Callable[[Sequence[int]], bool]) -> List[int]:
         # Re-implements the parent's poll loop with ONE kill/ceiling check per
         # round (at the top, where the horizon scheduler's spin task checks)
         # instead of one per Get/Flush leg — the per-leg checks of the plain
@@ -278,20 +283,20 @@ class _FaultedBaselineContext(BaselineSimProcessContext):
         while True:
             self._entry()
             versions = self._rt._versions_of(cells)
-            values = [parent.get(self, t, o) for t, o in cells]
+            values = [await parent.get(self, t, o) for t, o in cells]
             for t in targets:
-                parent.flush(self, t)
+                await parent.flush(self, t)
             if not predicate(values):
                 return values
             self._rt._park_if_unchanged(self._state, cells, versions)
 
-    def compute(self, duration_us: float) -> None:
+    async def compute(self, duration_us: float) -> None:
         self._entry()
-        BaselineSimProcessContext.compute(self, duration_us)
+        await BaselineSimProcessContext.compute(self, duration_us)
 
-    def barrier(self) -> None:
+    async def barrier(self) -> None:
         self._entry()
-        BaselineSimProcessContext.barrier(self)
+        await BaselineSimProcessContext.barrier(self)
 
 
 class BaselineSimRuntime(RMARuntime):
@@ -422,10 +427,9 @@ class BaselineSimRuntime(RMARuntime):
 
         threads = []
         for rank in range(nranks):
-            arg = program_args[rank] if program_args is not None else None
             t = threading.Thread(
                 target=self._rank_main,
-                args=(rank, program, arg, program_args is not None),
+                args=(rank, program, program_args),
                 name=f"sim-rank-{rank}",
                 daemon=True,
             )
@@ -459,7 +463,9 @@ class BaselineSimRuntime(RMARuntime):
     # Rank thread body
     # ------------------------------------------------------------------ #
 
-    def _rank_main(self, rank: int, program: Callable[..., Any], arg: Any, has_arg: bool) -> None:
+    def _rank_main(
+        self, rank: int, program: Callable[..., Any], program_args: Optional[Sequence[Any]]
+    ) -> None:
         state = self._states[rank]
         state.event.wait()
         state.event.clear()
@@ -472,7 +478,9 @@ class BaselineSimRuntime(RMARuntime):
                 raise _Aborted()
             while True:
                 try:
-                    state.result = program(ctx, arg) if has_arg else program(ctx)
+                    state.result = run_to_completion(
+                        start_program(program, ctx, program_args)
+                    )
                     break
                 except _Killed:
                     restart_us = self._crash_rank(state)

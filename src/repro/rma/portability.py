@@ -127,26 +127,26 @@ class ShmemFacade:
     def __init__(self, ctx: ProcessContext):
         self.ctx = ctx
 
-    def shmem_put(self, value: int, pe: int, offset: int) -> None:
-        self.ctx.put(value, pe, offset)
+    async def shmem_put(self, value: int, pe: int, offset: int) -> None:
+        await self.ctx.put(value, pe, offset)
 
-    def shmem_get(self, pe: int, offset: int) -> int:
-        return self.ctx.get(pe, offset)
+    async def shmem_get(self, pe: int, offset: int) -> int:
+        return await self.ctx.get(pe, offset)
 
-    def shmem_fadd(self, pe: int, offset: int, value: int) -> int:
-        return self.ctx.fao(value, pe, offset, AtomicOp.SUM)
+    async def shmem_fadd(self, pe: int, offset: int, value: int) -> int:
+        return await self.ctx.fao(value, pe, offset, AtomicOp.SUM)
 
-    def shmem_swap(self, pe: int, offset: int, value: int) -> int:
-        return self.ctx.fao(value, pe, offset, AtomicOp.REPLACE)
+    async def shmem_swap(self, pe: int, offset: int, value: int) -> int:
+        return await self.ctx.fao(value, pe, offset, AtomicOp.REPLACE)
 
-    def shmem_cswap(self, pe: int, offset: int, cond: int, value: int) -> int:
-        return self.ctx.cas(value, cond, pe, offset)
+    async def shmem_cswap(self, pe: int, offset: int, cond: int, value: int) -> int:
+        return await self.ctx.cas(value, cond, pe, offset)
 
-    def shmem_quiet(self, pe: int) -> None:
-        self.ctx.flush(pe)
+    async def shmem_quiet(self, pe: int) -> None:
+        await self.ctx.flush(pe)
 
-    def shmem_barrier_all(self) -> None:
-        self.ctx.barrier()
+    async def shmem_barrier_all(self) -> None:
+        await self.ctx.barrier()
 
     @property
     def my_pe(self) -> int:
@@ -163,23 +163,23 @@ class UpcFacade:
     def __init__(self, ctx: ProcessContext):
         self.ctx = ctx
 
-    def upc_set(self, thread: int, offset: int, value: int) -> None:
-        self.ctx.put(value, thread, offset)
+    async def upc_set(self, thread: int, offset: int, value: int) -> None:
+        await self.ctx.put(value, thread, offset)
 
-    def upc_get(self, thread: int, offset: int) -> int:
-        return self.ctx.get(thread, offset)
+    async def upc_get(self, thread: int, offset: int) -> int:
+        return await self.ctx.get(thread, offset)
 
-    def upc_inc(self, thread: int, offset: int, value: int = 1) -> int:
-        return self.ctx.fao(value, thread, offset, AtomicOp.SUM)
+    async def upc_inc(self, thread: int, offset: int, value: int = 1) -> int:
+        return await self.ctx.fao(value, thread, offset, AtomicOp.SUM)
 
-    def upc_cswap(self, thread: int, offset: int, compare: int, value: int) -> int:
-        return self.ctx.cas(value, compare, thread, offset)
+    async def upc_cswap(self, thread: int, offset: int, compare: int, value: int) -> int:
+        return await self.ctx.cas(value, compare, thread, offset)
 
-    def upc_fence(self, thread: int) -> None:
-        self.ctx.flush(thread)
+    async def upc_fence(self, thread: int) -> None:
+        await self.ctx.flush(thread)
 
-    def upc_barrier(self) -> None:
-        self.ctx.barrier()
+    async def upc_barrier(self) -> None:
+        await self.ctx.barrier()
 
     @property
     def mythread(self) -> int:

@@ -13,6 +13,14 @@ Listing 1 plus a handful of helpers that the lock protocols need:
   critical-section work and back-off delays).
 * ``barrier`` — synchronize all ranks (used to delimit measurement phases).
 
+Rank programs and lock-handle methods are ``async def`` coroutines: every
+RMA call, ``spin_*``, ``compute`` and ``barrier`` is awaited, while ``now()``,
+``rng``, ``rank``, ``nranks`` and ``machine`` stay plain attributes and
+calls.  Predicates passed to ``spin_*`` are plain functions.  ``run()``
+raises :class:`TypeError` when ``program(ctx)`` does not return a coroutine
+(see :func:`start_program`), so a program written without ``async`` fails
+loudly instead of running zero operations.
+
 Values returned by ``get``/``fao``/``cas`` follow the paper's semantics of
 being usable after the subsequent ``flush``; both backends return them
 immediately but protocols still issue the flushes so that the simulated time
@@ -33,10 +41,12 @@ any conforming scheduler must reproduce bit-identically:
 3. ``spin_on_cells`` polls (Get+Flush rounds) are ordinary operations in that
    order; a parked rank resumes polling at ``max(its clock, writer clock)``.
 
-The seed scheduler realised this order by handing a baton between rank
-threads at every scheduling point.  The horizon scheduler in
-:mod:`repro.rma.sim_runtime` realises the *same* order with a min-heap, a
-lock-free fast path for self-continuations, and threadless spin-wait tasks —
+The seed scheduler (:mod:`repro.rma.baseline_runtime`) realises this order by
+handing an event between one OS thread per rank at every scheduling point.
+The horizon scheduler in :mod:`repro.rma.sim_runtime` realises the *same*
+order on the calling thread alone: one loop pops the smallest ``(clock,
+rank)`` key from a min-heap and resumes that rank's coroutine, and a rank
+suspends only when an operation's completion crosses the next-smallest key —
 see the "Simulator internals" section of the README.  The golden tests in
 ``tests/rma/test_golden_determinism.py`` pin the contract down.
 """
@@ -44,6 +54,7 @@ see the "Simulator internals" section of the README.  The golden tests in
 from __future__ import annotations
 
 import abc
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -60,6 +71,8 @@ __all__ = [
     "RuntimeError_",
     "SimDeadlockError",
     "WindowInit",
+    "run_to_completion",
+    "start_program",
 ]
 
 #: A (target_rank, offset) pair identifying one window word.
@@ -141,49 +154,49 @@ class ProcessContext(abc.ABC):
     # -- Listing 1 ------------------------------------------------------- #
 
     @abc.abstractmethod
-    def put(self, src_data: int, target: int, offset: int) -> None:
+    async def put(self, src_data: int, target: int, offset: int) -> None:
         """Atomically place ``src_data`` in ``target``'s window at ``offset``."""
 
     @abc.abstractmethod
-    def get(self, target: int, offset: int) -> int:
+    async def get(self, target: int, offset: int) -> int:
         """Atomically fetch the word at ``offset`` in ``target``'s window."""
 
     @abc.abstractmethod
-    def accumulate(self, operand: int, target: int, offset: int, op: AtomicOp = AtomicOp.SUM) -> None:
+    async def accumulate(self, operand: int, target: int, offset: int, op: AtomicOp = AtomicOp.SUM) -> None:
         """Atomically apply ``op`` with ``operand`` to the word at ``target``."""
 
     @abc.abstractmethod
-    def fao(self, operand: int, target: int, offset: int, op: AtomicOp) -> int:
+    async def fao(self, operand: int, target: int, offset: int, op: AtomicOp) -> int:
         """Fetch-and-op: apply ``op`` and return the previous value."""
 
     @abc.abstractmethod
-    def cas(self, src_data: int, cmp_data: int, target: int, offset: int) -> int:
+    async def cas(self, src_data: int, cmp_data: int, target: int, offset: int) -> int:
         """Compare-and-swap; returns the previous value of the word."""
 
     @abc.abstractmethod
-    def flush(self, target: int) -> None:
+    async def flush(self, target: int) -> None:
         """Complete all pending RMA calls issued by this rank at ``target``."""
 
     # -- helpers ---------------------------------------------------------- #
 
     @abc.abstractmethod
-    def spin_on_cells(self, cells: Sequence[Cell], predicate: Callable[[Sequence[int]], bool]) -> List[int]:
+    async def spin_on_cells(self, cells: Sequence[Cell], predicate: Callable[[Sequence[int]], bool]) -> List[int]:
         """Repeat ``Get``+``Flush`` over ``cells`` while ``predicate(values)`` is true.
 
         Returns the first observed values for which the predicate is false.
         """
 
-    def spin_while(self, target: int, offset: int, predicate: Callable[[int], bool]) -> int:
+    async def spin_while(self, target: int, offset: int, predicate: Callable[[int], bool]) -> int:
         """Single-cell convenience wrapper around :meth:`spin_on_cells`."""
-        values = self.spin_on_cells([(target, offset)], lambda vs: predicate(vs[0]))
+        values = await self.spin_on_cells([(target, offset)], lambda vs: predicate(vs[0]))
         return values[0]
 
     @abc.abstractmethod
-    def compute(self, duration_us: float) -> None:
+    async def compute(self, duration_us: float) -> None:
         """Model ``duration_us`` microseconds of local computation."""
 
     @abc.abstractmethod
-    def barrier(self) -> None:
+    async def barrier(self) -> None:
         """Synchronize all ranks."""
 
     @abc.abstractmethod
@@ -218,3 +231,39 @@ class RMARuntime(abc.ABC):
         (e.g. null-pointer sentinels).  ``program_args`` optionally provides a
         per-rank extra argument passed as ``program(ctx, arg)``.
         """
+
+
+def start_program(program: Callable[..., Any], ctx: ProcessContext, args: Optional[Sequence[Any]]) -> Any:
+    """Call ``program`` for ``ctx``'s rank and return the coroutine it made.
+
+    Raises :class:`TypeError` when the program is not a coroutine function:
+    a plain ``def`` program would call the ``async`` context methods without
+    awaiting them and finish having issued no operation at all.
+    """
+    coro = program(ctx, args[ctx.rank]) if args is not None else program(ctx)
+    if not inspect.iscoroutine(coro):
+        raise TypeError(
+            f"rank program {getattr(program, '__qualname__', program)!r} returned "
+            f"{type(coro).__name__}, not a coroutine: rank programs and lock-handle "
+            "methods are `async def`, and every context call is awaited "
+            "(see 'Writing a lock' in README.md)"
+        )
+    return coro
+
+
+def run_to_completion(coro: Any) -> Any:
+    """Drive a coroutine that never suspends and return its result.
+
+    The trampoline of the thread-per-rank backends (``baseline``, ``thread``):
+    their context methods block the calling OS thread instead of suspending,
+    so one ``send`` runs the whole rank program.
+    """
+    try:
+        coro.send(None)
+    except StopIteration as stop:
+        return stop.value
+    coro.close()
+    raise RuntimeError_(
+        "rank program suspended on a thread-per-rank runtime; it awaited "
+        "something other than this runtime's context calls"
+    )

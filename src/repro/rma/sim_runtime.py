@@ -12,40 +12,37 @@ results on every run — and bit-identical results to the preserved seed
 scheduler (:mod:`repro.rma.baseline_runtime`), as pinned down by the golden
 tests.
 
-Scheduler architecture (the "time-horizon" rewrite)
----------------------------------------------------
-The seed scheduler paid a global lock, an O(P) linear scan and up to two OS
-thread handoffs per RMA operation.  This implementation produces the exact
-same execution order with three structural changes:
+Scheduler architecture
+----------------------
+Every rank program is a coroutine (see :mod:`repro.rma.runtime_base`), and
+all of them run on the thread that called :meth:`SimRuntime.run`:
 
-* **Horizon fast path.**  The scheduler maintains ``_horizon``: the smallest
-  ``(clock, rank)`` key over every *other* runnable rank.  While the
-  executing rank's key stays below the horizon it keeps running — no lock,
-  no heap, no handoff — because the seed scheduler would have picked it
-  again anyway.  Only when an advance crosses the horizon does the rank
-  enter the scheduler.
+* **Driver loop.**  Runnable ranks wait in a min-heap keyed on
+  ``(clock, rank)``.  The loop pops the smallest key, sets ``_horizon`` to
+  the next-smallest one, and resumes that rank's coroutine with ``send``.
+  Heap entries are validated against the rank's current status/clock on
+  pop, so stale entries are discarded lazily.
 
-* **Min-heap scheduling.**  Runnable ranks wait in a heap keyed on
-  ``(clock, rank)``; picking the next rank is O(log P) instead of O(P).
-  Heap entries are validated against the rank's current status/clock on pop,
-  so stale entries (e.g. after an abort) are discarded lazily.
+* **Horizon fast path.**  While the running rank's key stays below the
+  horizon it keeps running — no heap, no suspension — because the loop
+  would pick it again anyway.  Only an operation whose completion crosses
+  the horizon pushes the rank's key and yields once to the loop.
 
-* **Threadless spin-waiters.**  ``spin_on_cells`` — the protocols'
-  ``do {Get; Flush} while (...)`` loops and by far the densest source of
-  context switches under contention — runs as a *generator* task.  Poll
-  rounds execute inline on whichever thread currently drives the scheduler;
-  the waiting rank's own OS thread stays parked until the spin predicate is
-  finally satisfied.  A wake/re-park cycle therefore costs zero thread
-  handoffs (the seed paid two per poll round).  A per-cell version counter
+* **Parking spin-waiters.**  ``spin_on_cells`` — the protocols'
+  ``do {Get; Flush} while (...)`` loops — is itself the poll loop.  A round
+  whose predicate still holds parks the rank on the polled cells with no key
+  in the heap; the next write to one of them (``_post_write``) puts the rank
+  back at ``max(its clock, writer clock)``.  A per-cell version counter
   guarantees that a write landing between the poll and the park is never
   missed.
 
-Thread handoffs that do remain (program-to-program baton transfers) use a
-raw ``threading.Lock`` as a binary semaphore, which is roughly twice as fast
-as the seed's ``threading.Event`` round trip.  Per-operation accounting uses
-per-rank integer arrays indexed by call (folded into name-keyed dicts once at
-``run()`` end) and the precomputed :class:`~repro.rma.latency.CostTable`, so
-the fast path is a handful of array lookups.
+A fault plan's kills are raised at the victim's next context call, or thrown
+into its coroutine when it is parked or waiting at a barrier; a restarting
+rank re-enters the heap at its restart time with a fresh coroutine.
+Per-operation accounting uses per-rank integer arrays indexed by call
+(folded into name-keyed dicts once at ``run()`` end) and the precomputed
+:class:`~repro.rma.latency.CostTable`, so the fast path is a handful of
+array lookups.
 
 If every unfinished rank is parked or waiting at a barrier the runtime
 raises :class:`~repro.rma.runtime_base.SimDeadlockError`, which doubles as a
@@ -57,6 +54,7 @@ from __future__ import annotations
 import gc
 import threading
 import time
+import types
 from collections import defaultdict
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -75,6 +73,7 @@ from repro.rma.runtime_base import (
     RuntimeError_,
     SimDeadlockError,
     WindowInit,
+    start_program,
 )
 from repro.rma.window import Window
 from repro.topology.machine import Machine
@@ -106,20 +105,26 @@ _FLUSH_I = CALL_INDEX[_FLUSH]
 
 
 class _Aborted(BaseException):
-    """Internal control-flow exception used to unwind rank threads on abort."""
+    """Internal control-flow exception that unwinds rank coroutines on abort."""
 
 
 class _Killed(BaseException):
-    """Unwinds exactly one rank's thread when a fault plan kills that rank.
+    """Unwinds exactly one rank's coroutine when a fault plan kills that rank.
 
-    Raised at the rank's next public context call (or when the scheduler
-    reaps it from a parked/barrier wait); caught in ``_rank_main``, which
-    either restarts the rank or retires it with a crash-marker result.
-    Never crosses into another rank's frames.
+    Raised at the rank's next public context call (or thrown into its
+    coroutine when the scheduler reaps it from a parked/barrier wait);
+    ``SimRuntime._faulted_rank`` catches it and either restarts the rank or
+    retires it with a crash-marker result.
     """
 
 
 _INF = float("inf")
+
+
+@types.coroutine
+def _suspend():
+    """Hand control back to the driver loop until this rank is picked again."""
+    yield
 
 
 class _RankState:
@@ -129,34 +134,24 @@ class _RankState:
         "rank",
         "clock",
         "status",
-        "baton",
         "watching",
         "result",
         "finish_time",
         "ops",
-        "spin",
-        "spin_values",
+        "coro",
     )
 
     def __init__(self, rank: int):
         self.rank = rank
         self.clock = 0.0
         self.status = _READY
-        # Binary semaphore: created locked; the rank's thread blocks by
-        # acquiring it, the scheduler resumes the thread by releasing it.
-        # A successful acquire leaves the lock locked again, which is exactly
-        # the state the next wait needs.
-        self.baton = threading.Lock()
-        self.baton.acquire()
         self.watching: Set[Cell] = set()
         self.result: Any = None
         self.finish_time = 0.0
         #: Per-call op counters indexed by repro.rma.ops.CALL_INDEX.
         self.ops: List[int] = [0] * NUM_CALLS
-        #: Active spin-wait generator (threadless poll task), or None.
-        self.spin: Any = None
-        #: Values observed by the spin task when its predicate passed.
-        self.spin_values: Optional[List[int]] = None
+        #: The rank program's coroutine (None once it returned).
+        self.coro: Any = None
 
 
 class SimProcessContext(ProcessContext):
@@ -189,74 +184,115 @@ class SimProcessContext(ProcessContext):
         return self._state.clock
 
     # -- Listing 1 -------------------------------------------------------- #
+    #
+    # Each call charges the operation (``_issue``), suspends if its completion
+    # crossed the horizon, and applies its window effect once resumed.
 
-    def put(self, src_data: int, target: int, offset: int) -> None:
+    async def put(self, src_data: int, target: int, offset: int) -> None:
         rt = self._rt
-        rt._issue(self._state, _PUT, _PUT_I, target)
+        if rt._issue(self._state, _PUT, _PUT_I, target):
+            await _suspend()
         rt.windows[target].write(offset, int(src_data))
         rt._post_write(self._state, target, offset)
 
-    def get(self, target: int, offset: int) -> int:
+    async def get(self, target: int, offset: int) -> int:
         rt = self._rt
-        rt._issue(self._state, _GET, _GET_I, target)
+        if rt._issue(self._state, _GET, _GET_I, target):
+            await _suspend()
         return rt.windows[target].read(offset)
 
-    def accumulate(self, operand: int, target: int, offset: int, op: AtomicOp = AtomicOp.SUM) -> None:
+    async def accumulate(self, operand: int, target: int, offset: int, op: AtomicOp = AtomicOp.SUM) -> None:
         rt = self._rt
-        rt._issue(self._state, _ACCUMULATE, _ACCUMULATE_I, target)
+        if rt._issue(self._state, _ACCUMULATE, _ACCUMULATE_I, target):
+            await _suspend()
         rt.windows[target].apply(offset, int(operand), op)
         rt._post_write(self._state, target, offset)
 
-    def fao(self, operand: int, target: int, offset: int, op: AtomicOp) -> int:
+    async def fao(self, operand: int, target: int, offset: int, op: AtomicOp) -> int:
         rt = self._rt
-        rt._issue(self._state, _FAO, _FAO_I, target)
+        if rt._issue(self._state, _FAO, _FAO_I, target):
+            await _suspend()
         value = rt.windows[target].fetch_and_op(offset, int(operand), op)
         rt._post_write(self._state, target, offset)
         if rt.observer is not None:
             rt.observer.on_rmw(self.rank, _FAO)
         return value
 
-    def cas(self, src_data: int, cmp_data: int, target: int, offset: int) -> int:
+    async def cas(self, src_data: int, cmp_data: int, target: int, offset: int) -> int:
         rt = self._rt
-        rt._issue(self._state, _CAS, _CAS_I, target)
+        if rt._issue(self._state, _CAS, _CAS_I, target):
+            await _suspend()
         value = rt.windows[target].compare_and_swap(offset, int(cmp_data), int(src_data))
         rt._post_write(self._state, target, offset)
         if rt.observer is not None:
             rt.observer.on_rmw(self.rank, _CAS)
         return value
 
-    def flush(self, target: int) -> None:
-        self._rt._issue(self._state, _FLUSH, _FLUSH_I, target)
+    async def flush(self, target: int) -> None:
+        if self._rt._issue(self._state, _FLUSH, _FLUSH_I, target):
+            await _suspend()
 
     # -- helpers ----------------------------------------------------------- #
 
-    def spin_on_cells(self, cells: Sequence[Cell], predicate: Callable[[Sequence[int]], bool]) -> List[int]:
+    async def spin_on_cells(self, cells: Sequence[Cell], predicate: Callable[[Sequence[int]], bool]) -> List[int]:
+        """The Get+Flush poll loop, parking on the cells between rounds.
+
+        A poll round whose predicate still holds parks the rank on the polled
+        cells (no key in the heap) unless a write raced with the round, which
+        the per-cell version counters detect; ``_post_write`` wakes it.
+        """
         rt = self._rt
         state = self._state
-        # Normalization and the sorted flush-target list are computed once per
-        # spin, not per poll round; the generator below reuses them for every
-        # wake/re-poll cycle.
-        norm_cells = [(int(t), int(o)) for t, o in cells]
-        targets = sorted({t for t, _ in norm_cells})
-        state.spin = rt._spin_task(state, norm_cells, targets, predicate)
-        # The first poll round runs immediately on this thread — exactly like
-        # the seed, where the first Get's body executed before any scheduling
-        # decision.  If the predicate is already false the spin never touches
-        # the scheduler at all.
-        if not rt._step_spin(state, own_thread=True):
-            rt._run_tasks(state)
-        values = state.spin_values
-        state.spin_values = None
-        assert values is not None
-        return values
+        rank = state.rank
+        issue = rt._issue
+        windows = rt.windows
+        versions = rt._versions
+        watchers = rt._watchers
+        cells = [(int(t), int(o)) for t, o in cells]
+        targets = sorted({t for t, _ in cells})
+        kill_at = rt._kill_at
+        plan = rt.fault_plan
+        ceiling = plan.horizon_us if plan is not None and plan.horizon_us is not None else _INF
+        while True:
+            # Faulted runs only: each poll round is a kill/ceiling checkpoint,
+            # mirroring the public-context-call checks (a rank that keeps
+            # polling past its kill time must still die deterministically).
+            if kill_at is not None:
+                if state.clock >= kill_at[rank]:
+                    raise _Killed()
+                if state.clock >= ceiling:
+                    raise FaultHorizonError(
+                        f"rank {rank} passed the fault plan's virtual-time ceiling "
+                        f"of {ceiling:g}us at t={state.clock:.2f}us while spinning"
+                    )
+            snapshot = [versions[c] for c in cells]
+            values: List[int] = []
+            for t, o in cells:
+                if issue(state, _GET, _GET_I, t):
+                    await _suspend()
+                values.append(windows[t].read(o))
+            for t in targets:
+                if issue(state, _FLUSH, _FLUSH_I, t):
+                    await _suspend()
+            if not predicate(values):
+                return values
+            if [versions[c] for c in cells] != snapshot:
+                continue  # a write raced with the poll; re-read instead of parking
+            for c in cells:
+                watchers.setdefault(c, set()).add(rank)
+            state.watching.update(cells)
+            state.status = _PARKED
+            await _suspend()  # resumed only after a write wakes this rank
 
-    def compute(self, duration_us: float) -> None:
+    async def compute(self, duration_us: float) -> None:
         if duration_us < 0:
             raise ValueError("compute duration must be non-negative")
-        self._rt._advance(self._state, float(duration_us))
+        if self._rt._advance(self._state, float(duration_us)):
+            await _suspend()
 
-    def barrier(self) -> None:
-        self._rt._barrier(self._state)
+    async def barrier(self) -> None:
+        if self._rt._barrier(self._state):
+            await _suspend()
 
 
 class _FaultedSimContext(SimProcessContext):
@@ -293,41 +329,41 @@ class _FaultedSimContext(SimProcessContext):
         self.incarnation += 1
         self._kill_us = _INF
 
-    def put(self, src_data: int, target: int, offset: int) -> None:
+    async def put(self, src_data: int, target: int, offset: int) -> None:
         self._entry()
-        SimProcessContext.put(self, src_data, target, offset)
+        await SimProcessContext.put(self, src_data, target, offset)
 
-    def get(self, target: int, offset: int) -> int:
+    async def get(self, target: int, offset: int) -> int:
         self._entry()
-        return SimProcessContext.get(self, target, offset)
+        return await SimProcessContext.get(self, target, offset)
 
-    def accumulate(self, operand: int, target: int, offset: int, op: AtomicOp = AtomicOp.SUM) -> None:
+    async def accumulate(self, operand: int, target: int, offset: int, op: AtomicOp = AtomicOp.SUM) -> None:
         self._entry()
-        SimProcessContext.accumulate(self, operand, target, offset, op)
+        await SimProcessContext.accumulate(self, operand, target, offset, op)
 
-    def fao(self, operand: int, target: int, offset: int, op: AtomicOp) -> int:
+    async def fao(self, operand: int, target: int, offset: int, op: AtomicOp) -> int:
         self._entry()
-        return SimProcessContext.fao(self, operand, target, offset, op)
+        return await SimProcessContext.fao(self, operand, target, offset, op)
 
-    def cas(self, src_data: int, cmp_data: int, target: int, offset: int) -> int:
+    async def cas(self, src_data: int, cmp_data: int, target: int, offset: int) -> int:
         self._entry()
-        return SimProcessContext.cas(self, src_data, cmp_data, target, offset)
+        return await SimProcessContext.cas(self, src_data, cmp_data, target, offset)
 
-    def flush(self, target: int) -> None:
+    async def flush(self, target: int) -> None:
         self._entry()
-        SimProcessContext.flush(self, target)
+        await SimProcessContext.flush(self, target)
 
-    def spin_on_cells(self, cells: Sequence[Cell], predicate: Callable[[Sequence[int]], bool]) -> List[int]:
+    async def spin_on_cells(self, cells: Sequence[Cell], predicate: Callable[[Sequence[int]], bool]) -> List[int]:
         self._entry()
-        return SimProcessContext.spin_on_cells(self, cells, predicate)
+        return await SimProcessContext.spin_on_cells(self, cells, predicate)
 
-    def compute(self, duration_us: float) -> None:
+    async def compute(self, duration_us: float) -> None:
         self._entry()
-        SimProcessContext.compute(self, duration_us)
+        await SimProcessContext.compute(self, duration_us)
 
-    def barrier(self) -> None:
+    async def barrier(self) -> None:
         self._entry()
-        SimProcessContext.barrier(self)
+        await SimProcessContext.barrier(self)
 
 
 class SimRuntime(RMARuntime):
@@ -379,7 +415,8 @@ class SimRuntime(RMARuntime):
             raise ValueError("window_words must be >= 1")
 
         # Re-entry guard: run() builds all per-run state and would corrupt an
-        # in-flight run if invoked concurrently on the same instance.
+        # in-flight run if invoked again on the same instance (for instance
+        # from inside a rank program, or from a second host thread).
         self._run_guard = threading.Lock()
         self._run_active = False
 
@@ -389,7 +426,7 @@ class SimRuntime(RMARuntime):
         self._nranks = machine.num_processes
         self._port_free: List[float] = []
         self._link_free: Dict[object, float] = {}
-        self._lock = threading.Lock()  # guards abort/stall transitions only
+        self._lock = threading.Lock()  # guards abort transitions against the watchdog
         self._watchers: Dict[Cell, Set[int]] = {}
         self._versions: Dict[Cell, int] = defaultdict(int)
         self._barrier_waiting: List[int] = []
@@ -403,10 +440,8 @@ class SimRuntime(RMARuntime):
         self._node_of: Tuple[int, ...] = ()
         self._perturb: Optional[List[RankPerturbation]] = None
         # Fault state (only populated when a non-null fault plan is set):
-        # per-rank kill times (inf = never), reaped ranks whose baton release
-        # doubles as a kill signal, and the plan's restart schedule.
+        # per-rank kill times (inf = never).
         self._kill_at: Optional[List[float]] = None
-        self._reaped: Set[int] = set()
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -494,28 +529,25 @@ class SimRuntime(RMARuntime):
             for fault in plan.faults:
                 kill_at[fault.rank] = fault.kill_us
             self._kill_at = kill_at
-            self._reaped = set()
         else:
             self._kill_at = None
-        # All clocks are zero; ties break by rank, so rank 0 starts and the
-        # rest wait in the heap (already heap-ordered by construction).
-        self._heap = [(0.0, r) for r in range(1, nranks)]
-        self._horizon = (0.0, 1) if nranks > 1 else _INF_KEY
+        # All clocks are zero and ties break by rank: every rank starts in the
+        # heap (already heap-ordered by construction) and rank 0 runs first.
+        self._heap = [(0.0, r) for r in range(nranks)]
+        self._horizon = _INF_KEY
+        try:
+            for s in states:
+                if plan is None:
+                    s.coro = start_program(program, SimProcessContext(self, s), program_args)
+                else:
+                    s.coro = self._faulted_rank(s, _FaultedSimContext(self, s), program, program_args)
+        except BaseException:
+            self._close_coroutines()
+            raise
 
-        threads = []
-        for rank in range(nranks):
-            arg = program_args[rank] if program_args is not None else None
-            t = threading.Thread(
-                target=self._rank_main,
-                args=(rank, program, arg, program_args is not None),
-                name=f"sim-rank-{rank}",
-                daemon=True,
-            )
-            threads.append(t)
-        # The run allocates heavily (heap keys, poll values) but creates no
-        # reference cycles on the hot path; pausing the cyclic GC for the
-        # duration avoids collection stalls that would otherwise interrupt
-        # the baton hand-offs.
+        # The run allocates heavily (heap keys, poll values, coroutine frames)
+        # but creates no reference cycles on the hot path; pausing the cyclic
+        # GC for the duration avoids collection stalls.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -526,14 +558,11 @@ class SimRuntime(RMARuntime):
         wall_start = time.perf_counter()
         try:
             watchdog.start()
-            for t in threads:
-                t.start()
-            states[0].baton.release()
-            for t in threads:
-                t.join()
+            self._drive()
         finally:
             wall_time = time.perf_counter() - wall_start
             run_done.set()
+            self._close_coroutines()
             if gc_was_enabled:
                 gc.enable()
         watchdog.join()
@@ -565,100 +594,200 @@ class SimRuntime(RMARuntime):
         )
 
     # ------------------------------------------------------------------ #
-    # Rank thread body
+    # Scheduler core
     # ------------------------------------------------------------------ #
+    #
+    # Every rank program runs on the calling thread.  The driver loop pops
+    # the smallest valid ``(clock, rank)`` key, sets ``_horizon`` to the next
+    # one, and resumes that rank's coroutine; the rank runs until an advance
+    # crosses the horizon (``_issue``/``_advance`` push its key and it yields
+    # once), it parks in ``spin_on_cells``, it waits at a barrier, or its
+    # program returns.
 
-    def _rank_main(self, rank: int, program: Callable[..., Any], arg: Any, has_arg: bool) -> None:
-        state = self._states[rank]
-        if self.fault_plan is None:
-            ctx: SimProcessContext = SimProcessContext(self, state)
-        else:
-            ctx = _FaultedSimContext(self, state)
-        try:
-            self._wait_for_turn(state)
-            while True:
-                try:
-                    state.result = program(ctx, arg) if has_arg else program(ctx)
+    def _drive(self) -> None:
+        heap = self._heap
+        states = self._states
+        while not self._abort:
+            s = None
+            while heap:
+                clock, rank = heappop(heap)
+                cand = states[rank]
+                if cand.status == _READY and cand.clock == clock:
+                    s = cand
                     break
-                except _Killed:
-                    restart_us = self._crash_rank(state)
-                    if restart_us is None:
-                        state.result = {
-                            "__crashed__": True,
-                            "rank": rank,
-                            "t_us": state.clock,
-                        }
-                        break
-                    self._await_restart(state, restart_us)
-                    ctx._on_restarted()
-                    # Re-run the program from the top: fresh handles, fresh
-                    # local state; the rank's window keeps whatever survivors
-                    # wrote to it while the rank was dead.
-        except _Aborted:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - surface any rank failure
-            with self._lock:
-                if self._abort_exc is None:
-                    self._abort_exc = exc
-                self._abort = True
-                self._wake_all_locked()
-        finally:
-            self._finish_rank(state)
+                # otherwise a stale entry (aborted/retired rank)
+            if s is None:
+                if self._no_runnable():
+                    continue
+                return
+            # Inline _peek_key: the next-smallest valid key is the horizon.
+            while heap:
+                clock, rank = heap[0]
+                cand = states[rank]
+                if cand.status == _READY and cand.clock == clock:
+                    self._horizon = (clock, rank)
+                    break
+                heappop(heap)
+            else:
+                self._horizon = _INF_KEY
+            try:
+                s.coro.send(None)
+            except BaseException as exc:  # noqa: BLE001 - the program ended
+                self._settle(s, exc)
+
+    def _settle(self, s: _RankState, exc: BaseException) -> None:
+        """Handle the end of ``s``'s coroutine: return, abort or failure.
+
+        A failure is recorded, and ``run()`` re-raises it once every other
+        coroutine is closed.
+        """
+        s.coro = None
+        if isinstance(exc, StopIteration):
+            s.result = exc.value
+            self._finish_rank(s)
+        elif not isinstance(exc, _Aborted):
+            self._fail(exc)
+
+    def _fail(self, exc: BaseException) -> None:
+        with self._lock:
+            if self._abort_exc is None:
+                self._abort_exc = exc
+            self._abort = True
+
+    def _close_coroutines(self) -> None:
+        """Unwind every unfinished rank program (after an abort or failure).
+
+        With the abort flag set, a context call in a ``finally`` block raises
+        ``_Aborted`` instead of suspending.  Dropping the coroutines also
+        breaks the runtime <-> context reference cycle, so the run's windows
+        and generators are freed without waiting for the cyclic collector.
+        """
+        self._abort = True
+        for s in self._states:
+            coro, s.coro = s.coro, None
+            if coro is not None:
+                try:
+                    coro.close()
+                except (_Aborted, _Killed, Exception):
+                    pass  # the run already failed; its first error is re-raised
 
     def _finish_rank(self, state: _RankState) -> None:
-        with self._lock:
-            state.status = _FINISHED
-            state.finish_time = state.clock
-            if self._abort:
-                return
+        state.status = _FINISHED
+        state.finish_time = state.clock
         if self.fault_plan is not None:
             # A finish can change the crash-aware barrier's headcount (e.g.
             # the ranks parked at the final barrier are joined by a crash
-            # instead of an arrival); re-check before driving the scheduler.
+            # instead of an arrival); re-check before scheduling on.
             self._release_barrier_if_complete()
-        # This thread still owns the baton: drive remaining tasks until the
-        # baton can be handed to another thread (or the run drains).
-        self._run_tasks(None)
+
+    def _peek_key(self) -> Tuple[float, int]:
+        """Smallest valid heap key (discarding stale entries), or the sentinel."""
+        heap = self._heap
+        states = self._states
+        while heap:
+            clock, rank = heap[0]
+            s = states[rank]
+            if s.status == _READY and s.clock == clock:
+                return (clock, rank)
+            heappop(heap)
+        return _INF_KEY
+
+    def _no_runnable(self) -> bool:
+        """Handle an empty heap: reap a crash victim (True), or drain/deadlock."""
+        if self.fault_plan is not None and self._reap_blocked():
+            return True
+        unfinished = [s.rank for s in self._states if s.status != _FINISHED]
+        if unfinished:
+            self._fail(SimDeadlockError(
+                f"ranks {unfinished} are blocked forever with no runnable rank "
+                f"left: {self._blocked_report()}"
+            ))
+        return False
+
+    def _blocked_report(self) -> str:
+        """Human-readable description of every blocked rank (for deadlock errors)."""
+        lines = []
+        for s in self._states:
+            if s.status == _PARKED:
+                cells = ", ".join(f"(rank {t}, offset {o})" for t, o in sorted(s.watching))
+                lines.append(f"rank {s.rank}: parked on {cells} at t={s.clock:.2f}us")
+            elif s.status == _BARRIER:
+                lines.append(f"rank {s.rank}: waiting at barrier at t={s.clock:.2f}us")
+        return "; ".join(lines) if lines else "(no blocked ranks)"
+
+    def _watchdog_main(self, run_done: threading.Event) -> None:
+        """Abort the run if no simulation progress happens for stall_timeout_s.
+
+        Progress is observed through ``_total_ops`` plus the per-rank finish
+        count.  The watchdog only raises the abort flag, which the driving
+        thread checks at every operation and clock advance (a program that
+        advances its clock with ``compute`` alone never counts an op).
+        """
+        interval = min(max(self.stall_timeout_s / 4.0, 0.05), 5.0)
+        last = (-1, -1)
+        stalled_for = 0.0
+        while not run_done.wait(interval):
+            snapshot = (
+                self._total_ops,
+                sum(1 for s in self._states if s.status == _FINISHED),
+            )
+            if snapshot != last:
+                last = snapshot
+                stalled_for = 0.0
+                continue
+            stalled_for += interval
+            if stalled_for >= self.stall_timeout_s:
+                self._fail(RuntimeError_(
+                    f"scheduler stall: no simulation progress within "
+                    f"{self.stall_timeout_s}s of wall-clock time"
+                ))
+                return
 
     # ------------------------------------------------------------------ #
     # Fault handling (every method below runs only under a non-null plan)
     # ------------------------------------------------------------------ #
 
-    def _crash_rank(self, state: _RankState) -> Optional[float]:
-        """Record ``state``'s crash; returns its restart time (None = final).
+    async def _faulted_rank(
+        self,
+        state: _RankState,
+        ctx: _FaultedSimContext,
+        program: Callable[..., Any],
+        program_args: Optional[Sequence[Any]],
+    ) -> Any:
+        """A rank under a fault plan: its program, then its crash and restart.
 
-        Runs on the victim's own thread (which owns the baton) right after
-        ``_Killed`` unwound the rank program.  One crash per rank per run:
-        the kill time is retired so a restarted rank cannot be re-killed.
+        The kill arrives as ``_Killed`` out of the program.  One crash per
+        rank per run: the kill time is retired so a restarted rank cannot be
+        re-killed.  A restarting rank re-enters the heap keyed at its restart
+        time, so the scheduler revives it exactly when the rest of the
+        simulation reaches that virtual moment — or immediately, if every
+        survivor is blocked waiting for it — and re-runs the program from the
+        top: fresh handles and local state, while its window keeps whatever
+        survivors wrote to it while the rank was dead.
         """
-        assert self._kill_at is not None
-        self._kill_at[state.rank] = _INF
-        observer = self.observer
-        if observer is not None:
+        while True:
+            try:
+                return await start_program(program, ctx, program_args)
+            except _Killed:
+                pass
+            assert self._kill_at is not None
+            self._kill_at[state.rank] = _INF
+            observer = self.observer
             on_crash = getattr(observer, "on_crash", None)
             if on_crash is not None:
                 on_crash(state.rank, state.clock)
-        fault = self.fault_plan.fault_for(state.rank)
-        return fault.restart_us if fault is not None else None
-
-    def _await_restart(self, state: _RankState, restart_us: float) -> None:
-        """Park the crashed rank until virtual time reaches ``restart_us``.
-
-        The rank re-enters the heap keyed at its restart time, so the
-        scheduler revives it exactly when the rest of the simulation reaches
-        that virtual moment — or immediately, if every survivor is blocked
-        waiting for it.
-        """
-        if state.clock < restart_us:
-            state.clock = restart_us
-        state.status = _READY
-        heappush(self._heap, (state.clock, state.rank))
-        self._run_tasks(state)
-        observer = self.observer
-        if observer is not None:
+            fault = self.fault_plan.fault_for(state.rank)
+            if fault is None or fault.restart_us is None:
+                return {"__crashed__": True, "rank": state.rank, "t_us": state.clock}
+            if state.clock < fault.restart_us:
+                state.clock = fault.restart_us
+            state.status = _READY
+            heappush(self._heap, (state.clock, state.rank))
+            await _suspend()
             on_restart = getattr(observer, "on_restart", None)
             if on_restart is not None:
                 on_restart(state.rank, state.clock)
+            ctx._on_restarted()
 
     def _cleanup_blocked(self, state: _RankState) -> None:
         """Detach a blocked victim from every wait structure before killing it."""
@@ -667,21 +796,18 @@ class SimRuntime(RMARuntime):
             if waiters is not None:
                 waiters.discard(state.rank)
         state.watching.clear()
-        state.spin = None
-        state.spin_values = None
         if state.rank in self._barrier_waiting:
             self._barrier_waiting.remove(state.rank)
 
-    def _reap_blocked(self, owner: Optional[_RankState]) -> bool:
+    def _reap_blocked(self) -> bool:
         """Kill the next blocked rank whose crash is scheduled, if any.
 
         Called when the scheduler ran out of runnable ranks: a parked or
         barrier-blocked victim will never issue the context call that would
-        normally deliver its kill, so the scheduler delivers it here —
-        smallest ``(kill_us, rank)`` first, clock bumped to the kill time so
-        the crash happens at a deterministic virtual moment.  Returns True
-        when a victim was killed (the caller's scheduling pass is over: the
-        victim's thread now owns the baton, or ``owner`` itself is dying).
+        normally deliver its kill, so the scheduler throws it into the
+        victim's coroutine here — smallest ``(kill_us, rank)`` first, clock
+        bumped to the kill time so the crash happens at a deterministic
+        virtual moment.  Returns True when a victim was killed.
         """
         kill_at = self._kill_at
         assert kill_at is not None
@@ -696,14 +822,10 @@ class SimRuntime(RMARuntime):
             victim.clock = kill_at[victim.rank]
         self._cleanup_blocked(victim)
         victim.status = _READY
-        if victim is owner:
-            raise _Killed()
-        # Wake the victim's thread with the kill flag set; this thread stops
-        # driving (the baton invariant: one active thread at a time).
-        self._reaped.add(victim.rank)
-        victim.baton.release()
-        if owner is not None:
-            self._wait_for_turn(owner)
+        try:
+            victim.coro.throw(_Killed())
+        except BaseException as exc:  # noqa: BLE001 - the victim's program ended
+            self._settle(victim, exc)
         return True
 
     def _barrier_need(self) -> int:
@@ -727,196 +849,14 @@ class SimRuntime(RMARuntime):
         self._horizon = self._peek_key()
 
     # ------------------------------------------------------------------ #
-    # Scheduler core
-    # ------------------------------------------------------------------ #
-    #
-    # Exactly one thread at a time executes scheduler/program code (it "owns
-    # the baton"); every other thread is blocked in _wait_for_turn.  All
-    # scheduler structures (heap, horizon, states, windows, ports, watchers)
-    # are therefore baton-protected and accessed without self._lock, which
-    # only serializes abort/stall transitions initiated by waiting threads.
-
-    def _run_tasks(self, owner: Optional[_RankState]) -> None:
-        """Drive scheduling until ``owner`` is picked again (or handed off).
-
-        ``owner`` is the rank whose thread is executing this loop, with its
-        heap key already pushed if it is runnable; ``None`` when called from a
-        finishing rank that only needs to pass the baton on.  Spin tasks are
-        executed inline on this thread; picking another threaded rank releases
-        that rank's baton and blocks this one.
-        """
-        heap = self._heap
-        states = self._states
-        while True:
-            if self._abort:
-                if owner is None:
-                    return
-                raise _Aborted()
-            s = None
-            while heap:
-                clock, rank = heap[0]
-                cand = states[rank]
-                if cand.status == _READY and cand.clock == clock:
-                    s = cand
-                    break
-                heappop(heap)  # stale entry (aborted/retired rank)
-            if s is None:
-                self._no_runnable(owner)
-                return
-            heappop(heap)
-            # Inline _peek_key: the next-smallest valid key becomes the
-            # horizon of whichever task is dispatched below.
-            while heap:
-                clock, rank = heap[0]
-                cand = states[rank]
-                if cand.status == _READY and cand.clock == clock:
-                    self._horizon = (clock, rank)
-                    break
-                heappop(heap)
-            else:
-                self._horizon = _INF_KEY
-            if s.spin is not None:
-                try:
-                    done = self._step_spin(s)
-                except _Killed:
-                    # The spin's own kill check fired (faulted runs only).
-                    # The victim dies on its *own* thread: either it is this
-                    # thread (owner), or its parked thread is woken with the
-                    # reap flag set and this thread stops driving.
-                    if s is owner:
-                        raise
-                    self._reaped.add(s.rank)
-                    s.status = _READY
-                    s.baton.release()
-                    if owner is not None:
-                        self._wait_for_turn(owner)
-                    return
-                if done:
-                    # Spin finished: the rank becomes an ordinary threaded
-                    # task again at its current key.
-                    heappush(heap, (s.clock, s.rank))
-                continue
-            if s is owner:
-                return
-            s.baton.release()
-            if owner is not None:
-                self._wait_for_turn(owner)
-            return
-
-    def _peek_key(self) -> Tuple[float, int]:
-        """Smallest valid heap key (discarding stale entries), or the sentinel."""
-        heap = self._heap
-        states = self._states
-        while heap:
-            clock, rank = heap[0]
-            s = states[rank]
-            if s.status == _READY and s.clock == clock:
-                return (clock, rank)
-            heappop(heap)
-        return _INF_KEY
-
-    def _schedule(self, state: _RankState) -> None:
-        """Enter the scheduler after ``state`` crossed the horizon."""
-        heappush(self._heap, (state.clock, state.rank))
-        self._run_tasks(state)
-
-    def _no_runnable(self, owner: Optional[_RankState]) -> None:
-        """Handle an empty scheduler: reap a crash victim, clean drain, or deadlock."""
-        if self.fault_plan is not None and not self._abort and self._reap_blocked(owner):
-            return
-        with self._lock:
-            if self._abort:
-                if owner is None:
-                    return
-                raise _Aborted()
-            unfinished = [s.rank for s in self._states if s.status != _FINISHED]
-            if not unfinished:
-                return  # every rank finished; the run drains cleanly
-            self._abort = True
-            if self._abort_exc is None:
-                self._abort_exc = SimDeadlockError(
-                    f"ranks {unfinished} are blocked forever with no runnable rank "
-                    f"left: {self._blocked_report()}"
-                )
-            self._wake_all_locked()
-        if owner is not None:
-            raise _Aborted()
-
-    def _wake_all_locked(self) -> None:
-        for s in self._states:
-            if s.status != _FINISHED:
-                s.status = _READY
-                try:
-                    s.baton.release()
-                except RuntimeError:
-                    pass  # thread was not waiting; its next acquire will not block
-
-    def _blocked_report(self) -> str:
-        """Human-readable description of every blocked rank (for deadlock errors)."""
-        lines = []
-        for s in self._states:
-            if s.status == _PARKED:
-                cells = ", ".join(f"(rank {t}, offset {o})" for t, o in sorted(s.watching))
-                lines.append(f"rank {s.rank}: parked on {cells} at t={s.clock:.2f}us")
-            elif s.status == _BARRIER:
-                lines.append(f"rank {s.rank}: waiting at barrier at t={s.clock:.2f}us")
-        return "; ".join(lines) if lines else "(no blocked ranks)"
-
-    def _wait_for_turn(self, state: _RankState) -> None:
-        # Untimed acquire: cheaper than a timed wait, and safe because every
-        # abort path releases all batons (_wake_all_locked) and wall-clock
-        # stalls are detected by the watchdog thread rather than by polling
-        # from all P rank threads.
-        state.baton.acquire()
-        if self._abort:
-            raise _Aborted()
-        if self.fault_plan is not None and state.rank in self._reaped:
-            self._reaped.discard(state.rank)
-            raise _Killed()
-
-    def _watchdog_main(self, run_done: threading.Event) -> None:
-        """Abort the run if no simulation progress happens for stall_timeout_s.
-
-        Progress is observed through ``_total_ops`` plus the per-rank finish
-        count; the watchdog wakes a few times per stall window, so a healthy
-        run pays essentially nothing for it.
-        """
-        interval = min(max(self.stall_timeout_s / 4.0, 0.05), 5.0)
-        last = (-1, -1)
-        stalled_for = 0.0
-        while not run_done.wait(interval):
-            snapshot = (
-                self._total_ops,
-                sum(1 for s in self._states if s.status == _FINISHED),
-            )
-            if snapshot != last:
-                last = snapshot
-                stalled_for = 0.0
-                continue
-            stalled_for += interval
-            if stalled_for >= self.stall_timeout_s:
-                with self._lock:
-                    if self._abort:
-                        return
-                    self._abort = True
-                    if self._abort_exc is None:
-                        self._abort_exc = RuntimeError_(
-                            f"scheduler stall: no simulation progress within "
-                            f"{self.stall_timeout_s}s of wall-clock time"
-                        )
-                    self._wake_all_locked()
-                return
-
-    # ------------------------------------------------------------------ #
     # RMA operation plumbing
     # ------------------------------------------------------------------ #
 
     def _op_body(self, state: _RankState, call: RMACall, ci: int, target: int) -> float:
         """Account, charge and time one RMA call; returns the post-op clock.
 
-        This is the shared body of program-issued and spin-task-issued
-        operations (``ci`` is the call's dense :data:`~repro.rma.ops.CALL_INDEX`,
-        passed alongside to keep the enum off the hot path).  The caller is
+        ``ci`` is the call's dense :data:`~repro.rma.ops.CALL_INDEX`, passed
+        alongside to keep the enum off the hot path.  The caller is
         responsible for the scheduling decision (horizon check) that follows
         the advance.
         """
@@ -963,29 +903,37 @@ class SimRuntime(RMARuntime):
         state.clock = clock
         return clock
 
-    def _issue(self, state: _RankState, call: RMACall, ci: int, target: int) -> None:
+    def _issue(self, state: _RankState, call: RMACall, ci: int, target: int) -> bool:
+        """Charge one RMA call; True when the caller must suspend.
+
+        The fast path: while the rank's new key stays below the horizon it
+        keeps running, because the scheduler would pick it again anyway.
+        Otherwise its key goes into the heap and the caller yields once.
+        """
         clock = self._op_body(state, call, ci, target)
         h = self._horizon
         if clock < h[0] or (clock == h[0] and state.rank < h[1]):
-            return  # fast path: still the earliest runnable rank
+            return False
         heappush(self._heap, (clock, state.rank))
-        self._run_tasks(state)
+        return True
 
-    def _advance(self, state: _RankState, dt: float) -> None:
+    def _advance(self, state: _RankState, dt: float) -> bool:
+        """Advance ``state``'s clock by ``dt``; True when the caller must suspend."""
         if self._abort:
             raise _Aborted()
         clock = state.clock + dt
         state.clock = clock
         h = self._horizon
         if clock < h[0] or (clock == h[0] and state.rank < h[1]):
-            return
-        self._schedule(state)
+            return False
+        heappush(self._heap, (clock, state.rank))
+        return True
 
     def _post_write(self, state: _RankState, target: int, offset: int) -> None:
         """Version-bump a just-written cell and wake any rank parked on it.
 
-        Callers mutate the window directly (between ``_issue`` and this call)
-        so the hot path carries no per-operation effect closures.
+        Callers mutate the window directly (after ``_issue``) so the hot path
+        carries no per-operation effect closures.
         """
         cell = (target, offset)
         self._versions[cell] += 1
@@ -1015,115 +963,11 @@ class SimRuntime(RMARuntime):
             self._horizon = horizon
 
     # ------------------------------------------------------------------ #
-    # Spin-wait tasks (threadless waiters)
-    # ------------------------------------------------------------------ #
-
-    def _step_spin(self, state: _RankState, own_thread: bool = False) -> bool:
-        """Advance ``state``'s spin generator one leg; True when it completed.
-
-        ``own_thread`` marks the initial step taken by the spinning rank's own
-        thread (from ``spin_on_cells``): there an exception simply propagates
-        into that rank's program, exactly like the seed scheduler.  Later
-        steps run on whichever thread drives the scheduler, so a raising
-        predicate/op must not unwind through a *different* rank's program
-        frames — it is recorded as the run's failure and the driving thread
-        is unwound with the internal ``_Aborted`` signal instead.
-        """
-        try:
-            state.spin.send(None)
-        except StopIteration:
-            state.spin = None
-            return True
-        except _Aborted:
-            state.spin = None
-            raise
-        except _Killed:
-            # Fault-plan kill fired inside the poll loop; the caller routes
-            # the death to the victim's own thread (see _run_tasks).
-            state.spin = None
-            raise
-        except BaseException as exc:  # noqa: BLE001 - reroute foreign failures
-            state.spin = None
-            if own_thread:
-                raise
-            with self._lock:
-                if self._abort_exc is None:
-                    self._abort_exc = exc
-                self._abort = True
-                self._wake_all_locked()
-            raise _Aborted() from None
-        return False
-
-    def _spin_task(
-        self,
-        state: _RankState,
-        cells: List[Cell],
-        targets: List[int],
-        predicate: Callable[[Sequence[int]], bool],
-    ):
-        """Generator running one rank's Get+Flush poll loop without its thread.
-
-        Yields whenever the rank must wait (its key crossed the horizon, or it
-        parked on the polled cells); the scheduler resumes it when its key is
-        the minimum again.  Returns (via StopIteration) once the predicate is
-        satisfied, with the observed values left in ``state.spin_values``.
-        """
-        versions = self._versions
-        watchers = self._watchers
-        heap = self._heap
-        rank = state.rank
-        kill_at = self._kill_at
-        plan = self.fault_plan
-        ceiling = plan.horizon_us if plan is not None and plan.horizon_us is not None else _INF
-        while True:
-            # Faulted runs only: each poll round is a kill/ceiling checkpoint,
-            # mirroring the public-context-call checks (a rank that keeps
-            # polling past its kill time must still die deterministically).
-            if kill_at is not None:
-                if state.clock >= kill_at[rank]:
-                    raise _Killed()
-                if state.clock >= ceiling:
-                    raise FaultHorizonError(
-                        f"rank {rank} passed the fault plan's virtual-time ceiling "
-                        f"of {ceiling:g}us at t={state.clock:.2f}us while spinning"
-                    )
-            snapshot = [versions[c] for c in cells]
-            values: List[int] = []
-            for t, o in cells:
-                clock = self._op_body(state, _GET, _GET_I, t)
-                h = self._horizon
-                if not (clock < h[0] or (clock == h[0] and rank < h[1])):
-                    heappush(heap, (clock, rank))
-                    yield
-                    if self._abort:
-                        raise _Aborted()
-                values.append(self.windows[t].read(o))
-            for t in targets:
-                clock = self._op_body(state, _FLUSH, _FLUSH_I, t)
-                h = self._horizon
-                if not (clock < h[0] or (clock == h[0] and rank < h[1])):
-                    heappush(heap, (clock, rank))
-                    yield
-                    if self._abort:
-                        raise _Aborted()
-            if not predicate(values):
-                state.spin_values = values
-                return
-            if [versions[c] for c in cells] != snapshot:
-                continue  # a write raced with the poll; re-read instead of parking
-            for c in cells:
-                watchers.setdefault(c, set()).add(rank)
-            state.watching.update(cells)
-            state.status = _PARKED
-            yield  # resumed only after a write wakes this rank
-            if self._abort:
-                raise _Aborted()
-
-    # ------------------------------------------------------------------ #
     # Barrier
     # ------------------------------------------------------------------ #
 
-    def _barrier(self, state: _RankState) -> None:
+    def _barrier(self, state: _RankState) -> bool:
+        """Arrive at the barrier; True when the caller must suspend."""
         if self._abort:
             raise _Aborted()
         waiting = self._barrier_waiting
@@ -1133,8 +977,7 @@ class SimRuntime(RMARuntime):
         need = self._nranks if self.fault_plan is None else self._barrier_need()
         if len(waiting) < need:
             state.status = _BARRIER
-            self._run_tasks(state)
-            return
+            return True
         states = self._states
         release_time = max(states[r].clock for r in waiting)
         release_time += self.barrier_cost_us
@@ -1151,8 +994,9 @@ class SimRuntime(RMARuntime):
         h = self._peek_key()
         self._horizon = h
         if release_time < h[0] or (release_time == h[0] and me < h[1]):
-            return
-        self._schedule(state)
+            return False
+        heappush(heap, (release_time, me))
+        return True
 
 
 # --------------------------------------------------------------------------- #
@@ -1161,7 +1005,7 @@ class SimRuntime(RMARuntime):
 
 @register_runtime(
     "horizon",
-    help="min-heap time-horizon scheduler (the fast default; bit-identical to 'baseline')",
+    help="min-heap time-horizon scheduler driving rank coroutines on one thread (the fast default; bit-identical to 'baseline')",
     fault_injection=True,
 )
 def _make_horizon_runtime(

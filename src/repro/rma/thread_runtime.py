@@ -11,6 +11,9 @@ Atomicity of window words is provided by one mutex per window, mirroring the
 per-target atomicity that MPI-3 ``MPI_Fetch_and_op``/``MPI_Compare_and_swap``
 guarantee.  ``spin_on_cells`` really polls (with a micro-sleep so the GIL is
 shared), ``compute`` sleeps, and ``now()`` is wall-clock time in microseconds.
+The context methods are ``async def`` wrappers around these blocking bodies;
+each rank thread drives its program's coroutine with
+:func:`~repro.rma.runtime_base.run_to_completion`, which never suspends.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from repro.rma.runtime_base import (
     RMARuntime,
     RunResult,
     WindowInit,
+    run_to_completion,
+    start_program,
 )
 from repro.rma.window import Window
 from repro.topology.machine import Machine
@@ -67,46 +72,46 @@ class ThreadProcessContext(ProcessContext):
         if delay:
             time.sleep(delay * 1e-6)
 
-    def put(self, src_data: int, target: int, offset: int) -> None:
+    async def put(self, src_data: int, target: int, offset: int) -> None:
         self._account(RMACall.PUT, target)
         with self._rt._locks[target]:
             self._rt.windows[target].write(offset, int(src_data))
 
-    def get(self, target: int, offset: int) -> int:
+    async def get(self, target: int, offset: int) -> int:
         self._account(RMACall.GET, target)
         with self._rt._locks[target]:
             return self._rt.windows[target].read(offset)
 
-    def accumulate(self, operand: int, target: int, offset: int, op: AtomicOp = AtomicOp.SUM) -> None:
+    async def accumulate(self, operand: int, target: int, offset: int, op: AtomicOp = AtomicOp.SUM) -> None:
         self._account(RMACall.ACCUMULATE, target)
         with self._rt._locks[target]:
             self._rt.windows[target].apply(offset, int(operand), op)
 
-    def fao(self, operand: int, target: int, offset: int, op: AtomicOp) -> int:
+    async def fao(self, operand: int, target: int, offset: int, op: AtomicOp) -> int:
         self._account(RMACall.FAO, target)
         with self._rt._locks[target]:
             return self._rt.windows[target].fetch_and_op(offset, int(operand), op)
 
-    def cas(self, src_data: int, cmp_data: int, target: int, offset: int) -> int:
+    async def cas(self, src_data: int, cmp_data: int, target: int, offset: int) -> int:
         self._account(RMACall.CAS, target)
         with self._rt._locks[target]:
             return self._rt.windows[target].compare_and_swap(offset, int(cmp_data), int(src_data))
 
-    def flush(self, target: int) -> None:
+    async def flush(self, target: int) -> None:
         self._account(RMACall.FLUSH, target)
         # Window mutations are applied eagerly under the per-window mutex, so a
         # flush only has ordering meaning; nothing further to do.
 
     # -- helpers ----------------------------------------------------------- #
 
-    def spin_on_cells(self, cells: Sequence[Cell], predicate: Callable[[Sequence[int]], bool]) -> List[int]:
+    async def spin_on_cells(self, cells: Sequence[Cell], predicate: Callable[[Sequence[int]], bool]) -> List[int]:
         cells = [(int(t), int(o)) for t, o in cells]
         targets = sorted({t for t, _ in cells})
         deadline = time.perf_counter() + self._rt.spin_timeout_s
         while True:
-            values = [self.get(t, o) for t, o in cells]
+            values = [await self.get(t, o) for t, o in cells]
             for t in targets:
-                self.flush(t)
+                await self.flush(t)
             if not predicate(values):
                 return values
             if self._rt._abort.is_set():
@@ -118,13 +123,13 @@ class ThreadProcessContext(ProcessContext):
                 )
             time.sleep(_POLL_SLEEP_S)
 
-    def compute(self, duration_us: float) -> None:
+    async def compute(self, duration_us: float) -> None:
         if duration_us < 0:
             raise ValueError("compute duration must be non-negative")
         if duration_us > 0:
             time.sleep(duration_us * 1e-6)
 
-    def barrier(self) -> None:
+    async def barrier(self) -> None:
         self._rt._barrier.wait(timeout=self._rt.spin_timeout_s)
 
 
@@ -188,8 +193,7 @@ class ThreadRuntime(RMARuntime):
         def worker(rank: int) -> None:
             ctx = contexts[rank]
             try:
-                arg = program_args[rank] if program_args is not None else None
-                results[rank] = program(ctx, arg) if program_args is not None else program(ctx)
+                results[rank] = run_to_completion(start_program(program, ctx, program_args))
             except BaseException as exc:  # noqa: BLE001
                 errors[rank] = exc
                 self._abort.set()

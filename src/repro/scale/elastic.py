@@ -10,7 +10,7 @@ activated entries' slabs through the versioned-install path of
 slab re-init → flush → version-guarded :meth:`~repro.traffic.table.TableEntry.reinstall`
 → barrier), exactly mirroring the adaptive control plane's scheme-swap
 crossing — so a resize is a collective, bit-reproducible virtual-time event:
-identical fingerprints across the horizon, baseline and vector schedulers
+identical fingerprints across the horizon and baseline schedulers
 and across ``--jobs`` settings.
 
 The plan is *declarative and pure*: every rank derives the same active-entry
@@ -158,9 +158,9 @@ class ElasticController:
     def num_boundaries(self) -> int:
         return self.plan.num_boundaries
 
-    def cross(self, ctx: Any, boundary: int) -> int:
+    async def cross(self, ctx: Any, boundary: int) -> int:
         """Perform the collective resize crossing; returns re-init count."""
-        ctx.barrier()
+        await ctx.barrier()
         grown, targets = self._by_boundary.get(boundary, ((), {}))
         if grown:
             rank = ctx.rank
@@ -169,16 +169,16 @@ class ElasticController:
             # above completes, so the Python-level version bumps below are
             # ordered after every rank's pre-boundary slot reads even under
             # descriptor-batched runtimes.
-            ctx.get(rank, self.table.entry(grown[0]).base_offset)
+            await ctx.get(rank, self.table.entry(grown[0]).base_offset)
             for index in grown:
                 entry = self.table.entry(index)
                 inits = entry.spec.init_window(rank)
                 for offset in range(entry.base_offset, entry.base_offset + entry.stride):
-                    ctx.put(int(inits.get(offset, 0)), rank, offset)
-            ctx.flush(rank)
+                    await ctx.put(int(inits.get(offset, 0)), rank, offset)
+            await ctx.flush(rank)
             for index in grown:
                 self.table.entry(index).reinstall(version=targets[index])
-        ctx.barrier()
+        await ctx.barrier()
         return len(grown)
 
 

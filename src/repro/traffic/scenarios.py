@@ -158,7 +158,7 @@ def make_open_loop_program(
     num_locks = table.num_locks
     reservoir_cap = scenario.reservoir_cap
 
-    def program(ctx: ProcessContext):
+    async def program(ctx: ProcessContext):
         handle = table.make(ctx)
         observer = getattr(ctx, "observer", None)
         if observer is not None:
@@ -177,7 +177,7 @@ def make_open_loop_program(
         now = ctx.now
         compute = ctx.compute
         table_lock = handle.lock
-        ctx.barrier()
+        await ctx.barrier()
         t_open = now()
         e2e: List[float] = []
         acquire_lat: List[float] = []
@@ -198,7 +198,7 @@ def make_open_loop_program(
                 ready = max(ready, prev_end + think)
             t_now = now()
             if ready > t_now:
-                compute(ready - t_now)
+                await compute(ready - t_now)
             as_writer = True
             if draw_role:
                 as_writer = bool(roles[i])
@@ -207,17 +207,17 @@ def make_open_loop_program(
             t0 = now()
             if is_rw and not as_writer:
                 rw_lock: RWLockHandle = lock  # type: ignore[assignment]
-                rw_lock.acquire_read()
+                await rw_lock.acquire_read()
             else:
-                lock.acquire()
+                await lock.acquire()
             t1 = now()
             cs = float(cs_times[i])
             if cs > 0.0:
-                compute(cs)
+                await compute(cs)
             if is_rw and not as_writer:
-                rw_lock.release_read()
+                await rw_lock.release_read()
             else:
-                lock.release()
+                await lock.release()
             t2 = now()
             acquire_lat.append(float(t1 - t0))
             hold_us.append(float(t2 - t1))
@@ -231,7 +231,7 @@ def make_open_loop_program(
                 reads += 1
             prev_end = t2
         end = now()
-        ctx.barrier()
+        await ctx.barrier()
         out = {
             "start": t_open,
             "end": end,
@@ -286,7 +286,7 @@ def _make_adaptive_program(
     elastic_controller = None if elastic is None else elastic.make_controller(table)
     reservoir_cap = scenario.reservoir_cap
 
-    def program(ctx: ProcessContext):
+    async def program(ctx: ProcessContext):
         table.reset_entries()
         handle = table.make(ctx)
         observer = getattr(ctx, "observer", None)
@@ -312,7 +312,7 @@ def _make_adaptive_program(
         num_boundaries = max(policy_boundaries, elastic_boundaries)
         cross = None if controller is None else controller.cross
         elastic_cross = None if elastic_controller is None else elastic_controller.cross
-        ctx.barrier()
+        await ctx.barrier()
         t_open = now()
         e2e: List[float] = []
         acquire_lat: List[float] = []
@@ -329,9 +329,9 @@ def _make_adaptive_program(
         for i in range(requests):
             while next_boundary < num_boundaries and int(phase_ids[i]) > next_boundary:
                 if elastic_cross is not None and next_boundary < elastic_boundaries:
-                    resizes_seen += elastic_cross(ctx, next_boundary)
+                    resizes_seen += await elastic_cross(ctx, next_boundary)
                 if cross is not None and next_boundary < policy_boundaries:
-                    swaps_seen += cross(ctx, next_boundary)
+                    swaps_seen += await cross(ctx, next_boundary)
                 next_boundary += 1
             arrival = t_open + float(arrivals[i])
             ready = arrival
@@ -340,7 +340,7 @@ def _make_adaptive_program(
                 ready = max(ready, prev_end + think)
             t_now = now()
             if ready > t_now:
-                compute(ready - t_now)
+                await compute(ready - t_now)
             if active_by_phase is None:
                 index = int(lock_ids[i]) % num_locks
             else:
@@ -351,17 +351,17 @@ def _make_adaptive_program(
             t0 = now()
             if entry_rw and not as_writer:
                 rw_lock: RWLockHandle = lock  # type: ignore[assignment]
-                rw_lock.acquire_read()
+                await rw_lock.acquire_read()
             else:
-                lock.acquire()
+                await lock.acquire()
             t1 = now()
             cs = float(cs_times[i])
             if cs > 0.0:
-                compute(cs)
+                await compute(cs)
             if entry_rw and not as_writer:
-                rw_lock.release_read()
+                await rw_lock.release_read()
             else:
-                lock.release()
+                await lock.release()
             t2 = now()
             acquire_lat.append(float(t1 - t0))
             hold_us.append(float(t2 - t1))
@@ -378,12 +378,12 @@ def _make_adaptive_program(
         # crossings, or the other ranks' barriers would never pair up.
         while next_boundary < num_boundaries:
             if elastic_cross is not None and next_boundary < elastic_boundaries:
-                resizes_seen += elastic_cross(ctx, next_boundary)
+                resizes_seen += await elastic_cross(ctx, next_boundary)
             if cross is not None and next_boundary < policy_boundaries:
-                swaps_seen += cross(ctx, next_boundary)
+                swaps_seen += await cross(ctx, next_boundary)
             next_boundary += 1
         end = now()
-        ctx.barrier()
+        await ctx.barrier()
         out = {
             "start": t_open,
             "end": end,

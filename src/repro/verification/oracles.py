@@ -553,14 +553,14 @@ class ObservedLock(LockHandle):
         self.ctx = ctx
         self.observer = observer
 
-    def acquire(self) -> None:
+    async def acquire(self) -> None:
         self.observer.wait_start(self.ctx.rank, MODE_WRITE, self.ctx.now())
-        self.inner.acquire()
+        await self.inner.acquire()
         self.observer.acquired(self.ctx.rank, MODE_WRITE, self.ctx.now())
 
-    def release(self) -> None:
+    async def release(self) -> None:
         self.observer.released(self.ctx.rank, MODE_WRITE, self.ctx.now())
-        self.inner.release()
+        await self.inner.release()
 
 
 class ObservedRWLock(RWLockHandle):
@@ -571,23 +571,23 @@ class ObservedRWLock(RWLockHandle):
         self.ctx = ctx
         self.observer = observer
 
-    def acquire_write(self) -> None:
+    async def acquire_write(self) -> None:
         self.observer.wait_start(self.ctx.rank, MODE_WRITE, self.ctx.now())
-        self.inner.acquire_write()
+        await self.inner.acquire_write()
         self.observer.acquired(self.ctx.rank, MODE_WRITE, self.ctx.now())
 
-    def release_write(self) -> None:
+    async def release_write(self) -> None:
         self.observer.released(self.ctx.rank, MODE_WRITE, self.ctx.now())
-        self.inner.release_write()
+        await self.inner.release_write()
 
-    def acquire_read(self) -> None:
+    async def acquire_read(self) -> None:
         self.observer.wait_start(self.ctx.rank, MODE_READ, self.ctx.now())
-        self.inner.acquire_read()
+        await self.inner.acquire_read()
         self.observer.acquired(self.ctx.rank, MODE_READ, self.ctx.now())
 
-    def release_read(self) -> None:
+    async def release_read(self) -> None:
         self.observer.released(self.ctx.rank, MODE_READ, self.ctx.now())
-        self.inner.release_read()
+        await self.inner.release_read()
 
 
 def observe_lock(lock: LockHandle, ctx: ProcessContext, observer: RunObserver) -> LockHandle:

@@ -91,21 +91,21 @@ def test_handles_satisfy_declared_protocol(scheme, procs):
     expected_type = RWLockHandle if info.rw else LockHandle
     observations = []
 
-    def program(ctx):
+    async def program(ctx):
         handle = lock.make(ctx)
         ok = isinstance(handle, expected_type)
-        ctx.barrier()
+        await ctx.barrier()
         # Rank 0 exercises one full acquire/release cycle of each declared side.
         if ctx.rank == 0:
             if info.rw:
-                with handle.writing():
+                async with handle.writing():
                     pass
-                with handle.reading():
+                async with handle.reading():
                     pass
             else:
-                with handle.held():
+                async with handle.held():
                     pass
-        ctx.barrier()
+        await ctx.barrier()
         return ok
 
     result = session.run(program)

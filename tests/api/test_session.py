@@ -120,14 +120,14 @@ class TestSession:
             assert session.window_words == lock.window_words + 1
             counter_offset = lock.window_words
 
-            def program(ctx):
+            async def program(ctx):
                 handle = lock.make(ctx)
-                ctx.barrier()
+                await ctx.barrier()
                 for _ in range(3):
-                    with handle.held():
-                        ctx.accumulate(1, 0, counter_offset)
-                        ctx.flush(0)
-                ctx.barrier()
+                    async with handle.held():
+                        await ctx.accumulate(1, 0, counter_offset)
+                        await ctx.flush(0)
+                await ctx.barrier()
 
             result = session.run(program)
             assert session.window(0).read(counter_offset) == 8 * 3
@@ -154,16 +154,16 @@ class TestSession:
             session = c.session(lock, extra_words=1)
             offset = lock.window_words
 
-            def program(ctx):
+            async def program(ctx):
                 handle = lock.make(ctx)
-                ctx.barrier()
+                await ctx.barrier()
                 for _ in range(5):
-                    with handle.held():
-                        value = ctx.get(0, offset)
-                        ctx.flush(0)
-                        ctx.put(value + 1, 0, offset)
-                        ctx.flush(0)
-                ctx.barrier()
+                    async with handle.held():
+                        value = await ctx.get(0, offset)
+                        await ctx.flush(0)
+                        await ctx.put(value + 1, 0, offset)
+                        await ctx.flush(0)
+                await ctx.barrier()
 
             session.run(program)
             assert session.window(0).read(offset) == 4 * 5

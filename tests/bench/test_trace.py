@@ -129,13 +129,13 @@ class TestRuntimeIntegration:
         recorder = TraceRecorder()
         runtime = SimRuntime(machine, window_words=spec.window_words, tracer=recorder, seed=1)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             for _ in range(2):
-                with lock.held():
-                    ctx.compute(0.2)
-            ctx.barrier()
+                async with lock.held():
+                    await ctx.compute(0.2)
+            await ctx.barrier()
 
         result = runtime.run(program, window_init=spec.init_window)
         assert len(recorder) == result.total_ops()
@@ -150,13 +150,13 @@ class TestRuntimeIntegration:
             recorder = TraceRecorder()
             runtime = SimRuntime(machine, window_words=spec.window_words, tracer=recorder, seed=2)
 
-            def program(ctx):
+            async def program(ctx):
                 lock = spec.make(ctx)
-                ctx.barrier()
+                await ctx.barrier()
                 for _ in range(4):
-                    with lock.held():
-                        ctx.compute(0.2)
-                ctx.barrier()
+                    async with lock.held():
+                        await ctx.compute(0.2)
+                await ctx.barrier()
 
             runtime.run(program, window_init=spec.init_window)
             return distance_breakdown(recorder.events, machine)

@@ -132,10 +132,10 @@ class TestPointExecution:
 
             def make(self, ctx):
                 class _Crash(LockHandle):
-                    def acquire(self) -> None:
+                    async def acquire(self) -> None:
                         raise KeyError("third-party bug")
 
-                    def release(self) -> None:  # pragma: no cover
+                    async def release(self) -> None:  # pragma: no cover
                         pass
 
                 return _Crash()
@@ -170,10 +170,10 @@ class TestPointExecution:
 
             def make(self, ctx):
                 class _Stuck(LockHandle):
-                    def acquire(self) -> None:
-                        ctx.spin_while(0, 0, lambda v: v == 0)  # never satisfied
+                    async def acquire(self) -> None:
+                        await ctx.spin_while(0, 0, lambda v: v == 0)  # never satisfied
 
-                    def release(self) -> None:  # pragma: no cover
+                    async def release(self) -> None:  # pragma: no cover
                         pass
 
                 return _Stuck()

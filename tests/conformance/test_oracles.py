@@ -182,26 +182,26 @@ class _BrokenTestThenSetHandle(LockHandle):
     def __init__(self, ctx):
         self.ctx = ctx
 
-    def acquire(self) -> None:
+    async def acquire(self) -> None:
         ctx = self.ctx
         while True:
-            value = ctx.get(0, 0)
-            ctx.flush(0)
+            value = await ctx.get(0, 0)
+            await ctx.flush(0)
             if value == 0:
                 # The race: another rank can pass the same test before our
                 # put lands (the broken_test_and_set_model of lock_models,
                 # but running on the real simulator this time).  The compute
                 # widens the test-to-set window so the simulator's causal
                 # schedule actually interleaves a competitor into it.
-                ctx.compute(2.0)
-                ctx.put(1, 0, 0)
-                ctx.flush(0)
+                await ctx.compute(2.0)
+                await ctx.put(1, 0, 0)
+                await ctx.flush(0)
                 return
-            ctx.spin_while(0, 0, lambda v: v != 0)
+            await ctx.spin_while(0, 0, lambda v: v != 0)
 
-    def release(self) -> None:
-        self.ctx.put(0, 0, 0)
-        self.ctx.flush(0)
+    async def release(self) -> None:
+        await self.ctx.put(0, 0, 0)
+        await self.ctx.flush(0)
 
 
 class TestBrokenLockEndToEnd:
@@ -247,7 +247,7 @@ class TestObservedWrappers:
         plain_spec = get_scheme("d-mcs").build(machine)
         seen = {}
 
-        def program(ctx):
+        async def program(ctx):
             obs = LockOracleObserver()
             seen[("rw", ctx.rank)] = type(observe_lock(rw_spec.make(ctx), ctx, obs))
             seen[("plain", ctx.rank)] = type(observe_lock(plain_spec.make(ctx), ctx, obs))
@@ -267,26 +267,26 @@ class TestObservedWrappers:
         observer = LockOracleObserver()
         flag = spec.window_words
 
-        def program(ctx):
+        async def program(ctx):
             lock: RWLockHandle = observe_lock(spec.make(ctx), ctx, observer)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank == 0:
                 # Writer enters only after all three readers are done.
-                ctx.spin_while(0, flag, lambda v: v < 3)
-                with lock.writing():
-                    ctx.compute(1.0)
+                await ctx.spin_while(0, flag, lambda v: v < 3)
+                async with lock.writing():
+                    await ctx.compute(1.0)
                 return
-            with lock.reading():
+            async with lock.reading():
                 # Stay inside until every reader has entered at least once.
                 from repro.rma.ops import AtomicOp
 
-                ctx.fao(1, 0, flag + 1, AtomicOp.SUM)
-                ctx.flush(0)
-                ctx.spin_while(0, flag + 1, lambda v: v < 3)
+                await ctx.fao(1, 0, flag + 1, AtomicOp.SUM)
+                await ctx.flush(0)
+                await ctx.spin_while(0, flag + 1, lambda v: v < 3)
             from repro.rma.ops import AtomicOp
 
-            ctx.accumulate(1, 0, flag, AtomicOp.SUM)
-            ctx.flush(0)
+            await ctx.accumulate(1, 0, flag, AtomicOp.SUM)
+            await ctx.flush(0)
 
         runtime = SimRuntime(machine, window_words=spec.window_words + 2, observer=observer)
         runtime.run(program, window_init=spec.init_window)

@@ -60,11 +60,11 @@ class TestSpinLockBehaviour:
         spec = FompiSpinLockSpec(num_processes=small_cluster.num_processes)
         rt = SimRuntime(small_cluster, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
-            lock.acquire()
-            lock.release()
+            await ctx.barrier()
+            await lock.acquire()
+            await lock.release()
 
         rt.run(program, window_init=spec.init_window)
         assert rt.window(0).read(spec.lock_offset) == 0
@@ -121,15 +121,15 @@ class TestRWLockBehaviour:
         spec = FompiRWLockSpec(num_processes=small_cluster.num_processes)
         rt = SimRuntime(small_cluster, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank % 2 == 0:
-                lock.acquire_write()
-                lock.release_write()
+                await lock.acquire_write()
+                await lock.release_write()
             else:
-                lock.acquire_read()
-                lock.release_read()
+                await lock.acquire_read()
+                await lock.release_read()
 
         rt.run(program, window_init=spec.init_window)
         assert rt.window(0).read(spec.word_offset) == 0

@@ -42,10 +42,10 @@ class TestReaderSide:
         spec = make_spec(machine, t_dc=4)
         rt = SimRuntime(machine, window_words=4)
 
-        def program(ctx):
+        async def program(ctx):
             dc = spec.make(ctx)
-            prev = dc.reader_arrive()
-            dc.reader_depart()
+            prev = await dc.reader_arrive()
+            await dc.reader_depart()
             return prev
 
         rt.run(program)
@@ -60,10 +60,10 @@ class TestReaderSide:
         spec = make_spec(machine, t_dc=3)
         rt = SimRuntime(machine, window_words=4)
 
-        def program(ctx):
+        async def program(ctx):
             dc = spec.make(ctx)
-            dc.reader_arrive()
-            dc.reader_backoff()
+            await dc.reader_arrive()
+            await dc.reader_backoff()
 
         rt.run(program)
         assert rt.window(0).read(spec.arrive_offset) == 0
@@ -73,9 +73,9 @@ class TestReaderSide:
         spec = make_spec(machine, t_dc=1)
         rt = SimRuntime(machine, window_words=4)
 
-        def program(ctx):
+        async def program(ctx):
             dc = spec.make(ctx)
-            return [dc.reader_arrive() for _ in range(3)]
+            return [await dc.reader_arrive() for _ in range(3)]
 
         result = rt.run(program)
         assert result.returns[0] == [0, 1, 2]
@@ -85,11 +85,11 @@ class TestReaderSide:
         spec = make_spec(machine, t_dc=2)
         rt = SimRuntime(machine, window_words=4)
 
-        def program(ctx):
+        async def program(ctx):
             dc = spec.make(ctx)
-            dc.reader_arrive()
-            ctx.barrier()
-            return dc.read_my_arrivals()
+            await dc.reader_arrive()
+            await ctx.barrier()
+            return await dc.read_my_arrivals()
 
         result = rt.run(program)
         assert result.returns == [2, 2]
@@ -101,9 +101,9 @@ class TestWriterSide:
         spec = make_spec(machine, t_dc=4)
         rt = SimRuntime(machine, window_words=4)
 
-        def program(ctx):
+        async def program(ctx):
             if ctx.rank == 0:
-                spec.make(ctx).set_counters_to_write()
+                await spec.make(ctx).set_counters_to_write()
 
         rt.run(program)
         for counter in spec.counter_ranks:
@@ -114,16 +114,16 @@ class TestWriterSide:
         spec = make_spec(machine, t_dc=4)
         rt = SimRuntime(machine, window_words=4)
 
-        def program(ctx):
+        async def program(ctx):
             dc = spec.make(ctx)
             if ctx.rank != 0:
-                dc.reader_arrive()
-                dc.reader_depart()
-            ctx.barrier()
+                await dc.reader_arrive()
+                await dc.reader_depart()
+            await ctx.barrier()
             if ctx.rank == 0:
-                dc.set_counters_to_write()
-                dc.wait_readers_drained()
-                dc.reset_counters()
+                await dc.set_counters_to_write()
+                await dc.wait_readers_drained()
+                await dc.reset_counters()
 
         rt.run(program)
         w = rt.window(0)
@@ -135,18 +135,18 @@ class TestWriterSide:
         spec = make_spec(machine, t_dc=2)
         rt = SimRuntime(machine, window_words=4)
 
-        def program(ctx):
+        async def program(ctx):
             dc = spec.make(ctx)
             if ctx.rank == 1:
-                dc.reader_arrive()
-                ctx.barrier()
-                ctx.compute(25.0)
-                dc.reader_depart()
+                await dc.reader_arrive()
+                await ctx.barrier()
+                await ctx.compute(25.0)
+                await dc.reader_depart()
                 return None
-            ctx.barrier()
-            dc.set_counters_to_write()
+            await ctx.barrier()
+            await dc.set_counters_to_write()
             start = ctx.now()
-            dc.wait_readers_drained()
+            await dc.wait_readers_drained()
             return ctx.now() - start
 
         result = rt.run(program)
@@ -162,12 +162,12 @@ class TestWriterSide:
         spec = make_spec(machine, t_dc=2)
         rt = SimRuntime(machine, window_words=4)
 
-        def program(ctx):
+        async def program(ctx):
             dc = spec.make(ctx)
-            dc.reader_arrive()
-            ctx.barrier()
+            await dc.reader_arrive()
+            await ctx.barrier()
             if ctx.rank == 0:
-                return dc.snapshot()
+                return await dc.snapshot()
             return None
 
         result = rt.run(program)

@@ -39,7 +39,7 @@ class TestSpec:
         spec = DMCSLockSpec(num_processes=5)
         rt = SimRuntime(machine, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             spec.make(ctx)
 
         with pytest.raises(ValueError, match="ranks"):
@@ -91,13 +91,13 @@ class TestQueueBehaviour:
         spec = DMCSLockSpec(num_processes=small_cluster.num_processes)
         rt = SimRuntime(small_cluster, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             for _ in range(3):
-                lock.acquire()
-                lock.release()
-            ctx.barrier()
+                await lock.acquire()
+                await lock.release()
+            await ctx.barrier()
 
         rt.run(program, window_init=spec.init_window)
         assert rt.window(spec.tail_rank).read(spec.tail_offset) == NULL_RANK
@@ -108,12 +108,12 @@ class TestQueueBehaviour:
         spec = DMCSLockSpec(num_processes=2)
         rt = SimRuntime(machine, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
             if ctx.rank == 1:
                 start = ctx.now()
-                lock.acquire()
-                lock.release()
+                await lock.acquire()
+                await lock.release()
                 return ctx.now() - start
             return 0.0
 
@@ -128,18 +128,18 @@ class TestQueueBehaviour:
         ticket_off = spec.window_words + 1
         rt = SimRuntime(machine, window_words=spec.window_words + 8)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
-            ctx.compute(float(ctx.rank) * 50.0)  # arrive well apart, in rank order
-            lock.acquire()
+            await ctx.barrier()
+            await ctx.compute(float(ctx.rank) * 50.0)  # arrive well apart, in rank order
+            await lock.acquire()
             from repro.rma.ops import AtomicOp
 
-            ticket = ctx.fao(1, 0, ticket_off, AtomicOp.SUM)
-            ctx.put(ctx.rank, 0, order_off + 2 + ticket)
-            ctx.flush(0)
-            lock.release()
-            ctx.barrier()
+            ticket = await ctx.fao(1, 0, ticket_off, AtomicOp.SUM)
+            await ctx.put(ctx.rank, 0, order_off + 2 + ticket)
+            await ctx.flush(0)
+            await lock.release()
+            await ctx.barrier()
 
         rt.run(program, window_init=spec.init_window)
         grant_order = [rt.window(0).read(order_off + 2 + i) for i in range(4)]

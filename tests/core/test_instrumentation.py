@@ -100,13 +100,13 @@ class TestInstrumentedLocks:
             values.update(ledger.init_window(rank))
             return values
 
-        def program(ctx):
+        async def program(ctx):
             lock = InstrumentedLock(lock_spec.make(ctx), ledger, ctx)
-            ctx.barrier()
+            await ctx.barrier()
             for _ in range(iterations):
-                with lock.held():
-                    ctx.compute(0.3)
-            ctx.barrier()
+                async with lock.held():
+                    await ctx.compute(0.3)
+            await ctx.barrier()
 
         rt.run(program, window_init=window_init)
         grants = ledger.read_grants_from_window(rt.window(ledger.home_rank))
@@ -143,14 +143,14 @@ class TestInstrumentedLocks:
             values.update(ledger.init_window(rank))
             return values
 
-        def program(ctx):
+        async def program(ctx):
             lock = InstrumentedLock(spec.make(ctx), ledger, ctx)
-            ctx.barrier()
+            await ctx.barrier()
             for _ in range(4):
-                with lock.held():
+                async with lock.held():
                     pass
-            ctx.barrier()
-            return ledger.read_grants(ctx)
+            await ctx.barrier()
+            return await ledger.read_grants(ctx)
 
         result = rt.run(program, window_init=window_init)
         assert len(result.returns[0]) == 5
@@ -168,17 +168,17 @@ class TestInstrumentedLocks:
 
         writer_ranks = {0, 4}
 
-        def program(ctx):
+        async def program(ctx):
             lock = InstrumentedRWLock(lock_spec.make(ctx), ledger, ctx)
-            ctx.barrier()
+            await ctx.barrier()
             for _ in range(3):
                 if ctx.rank in writer_ranks:
-                    with lock.writing():
-                        ctx.compute(0.3)
+                    async with lock.writing():
+                        await ctx.compute(0.3)
                 else:
-                    with lock.reading():
-                        ctx.compute(0.3)
-            ctx.barrier()
+                    async with lock.reading():
+                        await ctx.compute(0.3)
+            await ctx.barrier()
 
         rt.run(program, window_init=window_init)
         grants = ledger.read_grants_from_window(rt.window(0))

@@ -32,12 +32,12 @@ class TestContextManagers:
         spec = FompiSpinLockSpec(num_processes=3)
         rt = SimRuntime(machine, window_words=spec.window_words + 1)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
-            with lock.held():
-                ctx.accumulate(1, 0, spec.window_words)
-                ctx.flush(0)
+            await ctx.barrier()
+            async with lock.held():
+                await ctx.accumulate(1, 0, spec.window_words)
+                await ctx.flush(0)
 
         rt.run(program, window_init=spec.init_window)
         assert rt.window(0).read(spec.window_words) == 3
@@ -49,20 +49,20 @@ class TestContextManagers:
         spec = FompiSpinLockSpec(num_processes=2)
         rt = SimRuntime(machine, window_words=spec.window_words + 1)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank == 0:
                 try:
-                    with lock.held():
+                    async with lock.held():
                         raise KeyError("inside CS")
                 except KeyError:
                     pass
-            ctx.barrier()
+            await ctx.barrier()
             # If rank 0 leaked the lock, rank 1 would deadlock here.
-            with lock.held():
-                ctx.accumulate(1, 0, spec.window_words)
-                ctx.flush(0)
+            async with lock.held():
+                await ctx.accumulate(1, 0, spec.window_words)
+                await ctx.flush(0)
 
         rt.run(program, window_init=spec.init_window)
         assert rt.window(0).read(spec.window_words) == 2
@@ -72,17 +72,17 @@ class TestContextManagers:
         spec = FompiRWLockSpec(num_processes=4)
         rt = SimRuntime(machine, window_words=spec.window_words + 1)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank == 0:
-                with lock.writing():
-                    ctx.accumulate(10, 0, spec.window_words)
-                    ctx.flush(0)
+                async with lock.writing():
+                    await ctx.accumulate(10, 0, spec.window_words)
+                    await ctx.flush(0)
             else:
-                with lock.reading():
-                    ctx.get(0, spec.window_words)
-                    ctx.flush(0)
+                async with lock.reading():
+                    await ctx.get(0, spec.window_words)
+                    await ctx.flush(0)
 
         rt.run(program, window_init=spec.init_window)
         assert rt.window(0).read(spec.window_words) == 10
@@ -93,15 +93,15 @@ class TestContextManagers:
         spec = FompiRWLockSpec(num_processes=3)
         rt = SimRuntime(machine, window_words=spec.window_words + 1)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
-            lock.acquire()
-            value = ctx.get(0, spec.window_words)
-            ctx.flush(0)
-            ctx.put(value + 1, 0, spec.window_words)
-            ctx.flush(0)
-            lock.release()
+            await ctx.barrier()
+            await lock.acquire()
+            value = await ctx.get(0, spec.window_words)
+            await ctx.flush(0)
+            await ctx.put(value + 1, 0, spec.window_words)
+            await ctx.flush(0)
+            await lock.release()
 
         rt.run(program, window_init=spec.init_window)
         assert rt.window(0).read(spec.window_words) == 3

@@ -28,23 +28,23 @@ class TestShortcutAndClimb:
         rt = SimRuntime(machine, window_words=spec.window_words + 2)
         status_seen_off = spec.window_words
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank in (0, 1):  # same node; rank 1 arrives while 0 holds the lock
                 if ctx.rank == 0:
-                    lock.acquire()
-                    ctx.compute(20.0)
-                    lock.release()
+                    await lock.acquire()
+                    await ctx.compute(20.0)
+                    await lock.release()
                 else:
-                    ctx.compute(5.0)  # arrive strictly after rank 0 acquired
-                    lock.acquire()
-                    status = ctx.get(ctx.rank, spec.layout.status_offset(2))
-                    ctx.flush(ctx.rank)
-                    ctx.put(status, 0, status_seen_off)
-                    ctx.flush(0)
-                    lock.release()
-            ctx.barrier()
+                    await ctx.compute(5.0)  # arrive strictly after rank 0 acquired
+                    await lock.acquire()
+                    status = await ctx.get(ctx.rank, spec.layout.status_offset(2))
+                    await ctx.flush(ctx.rank)
+                    await ctx.put(status, 0, status_seen_off)
+                    await ctx.flush(0)
+                    await lock.release()
+            await ctx.barrier()
 
         rt.run(program, window_init=spec.init_window)
         # rank 1's leaf status was a passing count (>= 1), i.e. the shortcut fired
@@ -64,30 +64,30 @@ class TestShortcutAndClimb:
         second_status_off = spec.window_words
         third_status_off = spec.window_words + 1
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank == 0:
-                lock.acquire()
-                ctx.compute(40.0)
-                lock.release()
+                await lock.acquire()
+                await ctx.compute(40.0)
+                await lock.release()
             elif ctx.rank == 1:
-                ctx.compute(5.0)
-                lock.acquire()
-                status = ctx.get(ctx.rank, spec.layout.status_offset(2))
-                ctx.flush(ctx.rank)
-                ctx.put(status, 0, second_status_off)
-                ctx.flush(0)
-                lock.release()
+                await ctx.compute(5.0)
+                await lock.acquire()
+                status = await ctx.get(ctx.rank, spec.layout.status_offset(2))
+                await ctx.flush(ctx.rank)
+                await ctx.put(status, 0, second_status_off)
+                await ctx.flush(0)
+                await lock.release()
             elif ctx.rank == 2:
-                ctx.compute(10.0)
-                lock.acquire()
-                status = ctx.get(ctx.rank, spec.layout.status_offset(2))
-                ctx.flush(ctx.rank)
-                ctx.put(status, 0, third_status_off)
-                ctx.flush(0)
-                lock.release()
-            ctx.barrier()
+                await ctx.compute(10.0)
+                await lock.acquire()
+                status = await ctx.get(ctx.rank, spec.layout.status_offset(2))
+                await ctx.flush(ctx.rank)
+                await ctx.put(status, 0, third_status_off)
+                await ctx.flush(0)
+                await lock.release()
+            await ctx.barrier()
 
         rt.run(program, window_init=spec.init_window)
         assert rt.window(0).read(second_status_off) == 1   # the one allowed pass
@@ -101,21 +101,21 @@ class TestCounterLifeCycle:
         rt = SimRuntime(machine, window_words=spec.window_words + 2)
         flag_seen_off = spec.window_words
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank == 0:
-                lock.acquire_write()
+                await lock.acquire_write()
                 flagged = 1
                 for counter in spec.counter.counter_ranks:
-                    arrive = ctx.get(counter, spec.counter.arrive_offset)
-                    ctx.flush(counter)
+                    arrive = await ctx.get(counter, spec.counter.arrive_offset)
+                    await ctx.flush(counter)
                     if arrive < WRITE_FLAG:
                         flagged = 0
-                ctx.put(flagged, 0, flag_seen_off)
-                ctx.flush(0)
-                lock.release_write()
-            ctx.barrier()
+                await ctx.put(flagged, 0, flag_seen_off)
+                await ctx.flush(0)
+                await lock.release_write()
+            await ctx.barrier()
 
         rt.run(program, window_init=spec.init_window)
         assert rt.window(0).read(flag_seen_off) == 1
@@ -129,17 +129,17 @@ class TestCounterLifeCycle:
         spec = RMARWLockSpec(machine, t_l=(4,), t_r=8, t_w=1)
         rt = SimRuntime(machine, window_words=spec.window_words + 2)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank == 0:
-                lock.acquire_write()
-                lock.release_write()
-            ctx.barrier()
+                await lock.acquire_write()
+                await lock.release_write()
+            await ctx.barrier()
             # a reader can get in immediately afterwards: counters were reset
-            lock.acquire_read()
-            lock.release_read()
-            ctx.barrier()
+            await lock.acquire_read()
+            await lock.release_read()
+            await ctx.barrier()
 
         rt.run(program, window_init=spec.init_window)
         counter = spec.counter.counter_ranks[0]
@@ -154,16 +154,16 @@ class TestCounterLifeCycle:
         rt = SimRuntime(machine, window_words=spec.window_words + 2)
         done_off = spec.window_words
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank in (0, 2):  # writers on different nodes
-                lock.acquire_write()
-                ctx.compute(5.0)
-                ctx.accumulate(1, 0, done_off)
-                ctx.flush(0)
-                lock.release_write()
-            ctx.barrier()
+                await lock.acquire_write()
+                await ctx.compute(5.0)
+                await ctx.accumulate(1, 0, done_off)
+                await ctx.flush(0)
+                await lock.release_write()
+            await ctx.barrier()
 
         rt.run(program, window_init=spec.init_window)
         assert rt.window(0).read(done_off) == 2
@@ -208,13 +208,13 @@ class TestStrandedCounterRecovery:
                 values[spec.counter.depart_offset] = 3
             return values
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank == 1:
-                with lock.reading():
-                    ctx.compute(0.2)
-            ctx.barrier()
+                async with lock.reading():
+                    await ctx.compute(0.2)
+            await ctx.barrier()
 
         runtime.run(program, window_init=window_init)
         window = runtime.window(0)
@@ -238,21 +238,21 @@ class TestStrandedCounterRecovery:
                 values[spec.counter.arrive_offset] = WRITE_FLAG
             return values
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank == 1:
                 # The reader must wait until rank 0 (standing in for the writer
                 # releasing the lock) resets the counter.
-                with lock.reading():
-                    observed = ctx.get(0, flag_off)
-                    ctx.flush(0)
+                async with lock.reading():
+                    observed = await ctx.get(0, flag_off)
+                    await ctx.flush(0)
                     return observed
             # Rank 0 plays the writer's release: set the marker, then reset.
-            ctx.compute(5.0)
-            ctx.put(1, 0, flag_off)
-            ctx.flush(0)
-            lock.counter_handle.reset_counters()
+            await ctx.compute(5.0)
+            await ctx.put(1, 0, flag_off)
+            await ctx.flush(0)
+            await lock.counter_handle.reset_counters()
             return None
 
         result = runtime.run(program, window_init=window_init)

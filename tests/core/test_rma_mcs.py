@@ -95,13 +95,13 @@ class TestTopologyAwareness:
         spec = RMAMCSLockSpec(medium_cluster, t_l=(2, 2))
         rt = SimRuntime(medium_cluster, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             for _ in range(4):
-                lock.acquire()
-                lock.release()
-            ctx.barrier()
+                await lock.acquire()
+                await lock.release()
+            await ctx.barrier()
 
         rt.run(program, window_init=spec.init_window)
         layout = spec.layout
@@ -126,18 +126,18 @@ class TestTopologyAwareness:
             ticket_off = spec.window_words + 63
             rt = SimRuntime(machine, window_words=spec.window_words + 64)
 
-            def program(ctx):
+            async def program(ctx):
                 from repro.rma.ops import AtomicOp
 
                 lock = spec.make(ctx)
-                ctx.barrier()
+                await ctx.barrier()
                 for _ in range(4):
-                    lock.acquire()
-                    ticket = ctx.fao(1, 0, ticket_off, AtomicOp.SUM)
-                    ctx.put(ctx.rank, 0, order_off + ticket)
-                    ctx.flush(0)
-                    lock.release()
-                ctx.barrier()
+                    await lock.acquire()
+                    ticket = await ctx.fao(1, 0, ticket_off, AtomicOp.SUM)
+                    await ctx.put(ctx.rank, 0, order_off + ticket)
+                    await ctx.flush(0)
+                    await lock.release()
+                await ctx.barrier()
 
             rt.run(program, window_init=spec.init_window)
             grants = [rt.window(0).read(order_off + i) for i in range(machine.num_processes * 4)]

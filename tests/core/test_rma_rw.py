@@ -159,17 +159,17 @@ class TestCounterLifecycle:
         spec = RMARWLockSpec(medium_cluster, t_l=(2, 2), t_r=8)
         rt = SimRuntime(medium_cluster, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank == 0:
-                lock.acquire_write()
-                lock.release_write()
-            ctx.barrier()
+                await lock.acquire_write()
+                await lock.release_write()
+            await ctx.barrier()
             # everyone reads afterwards; this only terminates if the counters were reset
-            lock.acquire_read()
-            lock.release_read()
-            ctx.barrier()
+            await lock.acquire_read()
+            await lock.release_read()
+            await ctx.barrier()
 
         rt.run(program, window_init=spec.init_window)
         for counter in spec.counter.counter_ranks:
@@ -182,17 +182,17 @@ class TestCounterLifecycle:
         spec = RMARWLockSpec(medium_cluster, t_l=(2, 2), t_r=4)
         rt = SimRuntime(medium_cluster, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             for _ in range(3):
                 if ctx.rank % 5 == 0:
-                    lock.acquire_write()
-                    lock.release_write()
+                    await lock.acquire_write()
+                    await lock.release_write()
                 else:
-                    lock.acquire_read()
-                    lock.release_read()
-            ctx.barrier()
+                    await lock.acquire_read()
+                    await lock.release_read()
+            await ctx.barrier()
 
         rt.run(program, window_init=spec.init_window)
         layout = spec.layout

@@ -63,35 +63,35 @@ class TestSpec:
 
 class TestSingleRankOperations:
     def test_insert_then_lookup(self):
-        def program(dht, ctx):
-            assert dht.insert(42, 420)
-            return dht.lookup(42)
+        async def program(dht, ctx):
+            assert await dht.insert(42, 420)
+            return await dht.lookup(42)
 
         _, _, result = run_single_rank(program)
         assert result.returns[0] == 420
 
     def test_lookup_missing_returns_none(self):
-        def program(dht, ctx):
-            dht.insert(1, 10)
-            return dht.lookup(999)
+        async def program(dht, ctx):
+            await dht.insert(1, 10)
+            return await dht.lookup(999)
 
         _, _, result = run_single_rank(program)
         assert result.returns[0] is None
 
     def test_duplicate_insert_rejected(self):
-        def program(dht, ctx):
-            first = dht.insert(7, 70)
-            second = dht.insert(7, 71)
-            return first, second, dht.lookup(7)
+        async def program(dht, ctx):
+            first = await dht.insert(7, 70)
+            second = await dht.insert(7, 71)
+            return first, second, await dht.lookup(7)
 
         _, _, result = run_single_rank(program)
         assert result.returns[0] == (True, False, 70)
 
     def test_collisions_go_to_overflow_chain(self):
-        def program(dht, ctx):
+        async def program(dht, ctx):
             # table_size=1 forces every key into the same bucket
-            stored = [dht.insert(k, k * 10) for k in range(6)]
-            values = [dht.lookup(k) for k in range(6)]
+            stored = [await dht.insert(k, k * 10) for k in range(6)]
+            values = [await dht.lookup(k) for k in range(6)]
             return stored, values
 
         machine = Machine.single_node(1)
@@ -103,17 +103,17 @@ class TestSingleRankOperations:
         assert values == [k * 10 for k in range(6)]
 
     def test_contains(self):
-        def program(dht, ctx):
-            dht.insert(5, 50)
-            return dht.contains(5), dht.contains(6)
+        async def program(dht, ctx):
+            await dht.insert(5, 50)
+            return await dht.contains(5), await dht.contains(6)
 
         _, _, result = run_single_rank(program)
         assert result.returns[0] == (True, False)
 
     def test_heap_exhaustion_raises(self):
-        def program(dht, ctx):
+        async def program(dht, ctx):
             for k in range(10):
-                dht.insert(k, k)
+                await dht.insert(k, k)
 
         machine = Machine.single_node(1)
         spec = DHTSpec(num_processes=1, table_size=2, heap_size=4)
@@ -122,20 +122,20 @@ class TestSingleRankOperations:
             rt.run(lambda ctx: program(spec.make(ctx), ctx), window_init=spec.init_window)
 
     def test_negative_and_large_keys(self):
-        def program(dht, ctx):
+        async def program(dht, ctx):
             keys = [-5, 0, 2**40, 17]
             for k in keys:
-                dht.insert(k, k + 1)
-            return [dht.lookup(k) for k in keys]
+                await dht.insert(k, k + 1)
+            return [await dht.lookup(k) for k in keys]
 
         _, _, result = run_single_rank(program)
         assert result.returns[0] == [-4, 1, 2**40 + 1, 18]
 
     def test_dump_volume_and_usage(self):
-        def program(dht, ctx):
+        async def program(dht, ctx):
             for k in range(5):
-                dht.insert(k, k)
-            return sorted(dht.dump_volume(0)), dht.local_volume_usage(0)
+                await dht.insert(k, k)
+            return sorted(await dht.dump_volume(0)), await dht.local_volume_usage(0)
 
         _, _, result = run_single_rank(program)
         pairs, used = result.returns[0]
@@ -149,14 +149,14 @@ class TestDistributedOperations:
         spec = DHTSpec(num_processes=4, table_size=8, heap_size=64)
         rt = SimRuntime(machine, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             dht = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             for i in range(8):
                 key = ctx.rank * 100 + i
-                dht.insert(key, key * 2)
-            ctx.barrier()
-            return [dht.lookup(r * 100 + i) for r in range(4) for i in range(8)]
+                await dht.insert(key, key * 2)
+            await ctx.barrier()
+            return [await dht.lookup(r * 100 + i) for r in range(4) for i in range(8)]
 
         result = rt.run(program, window_init=spec.init_window)
         expected = [(r * 100 + i) * 2 for r in range(4) for i in range(8)]
@@ -168,16 +168,16 @@ class TestDistributedOperations:
         spec = DHTSpec(num_processes=8, table_size=4, heap_size=128)
         rt = SimRuntime(machine, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             dht = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             for i in range(6):
-                dht.insert(ctx.rank * 1000 + i, ctx.rank, target_rank=0)
-            ctx.barrier()
+                await dht.insert(ctx.rank * 1000 + i, ctx.rank, target_rank=0)
+            await ctx.barrier()
             missing = 0
             for r in range(8):
                 for i in range(6):
-                    if dht.lookup(r * 1000 + i, target_rank=0) is None:
+                    if await dht.lookup(r * 1000 + i, target_rank=0) is None:
                         missing += 1
             return missing
 
@@ -189,12 +189,12 @@ class TestDistributedOperations:
         spec = DHTSpec(num_processes=4, table_size=2, heap_size=64)
         rt = SimRuntime(machine, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             dht = spec.make(ctx)
-            ctx.barrier()
-            won = dht.insert(77, ctx.rank + 1, target_rank=0)
-            ctx.barrier()
-            return won, dht.lookup(77, target_rank=0)
+            await ctx.barrier()
+            won = await dht.insert(77, ctx.rank + 1, target_rank=0)
+            await ctx.barrier()
+            return won, await dht.lookup(77, target_rank=0)
 
         result = rt.run(program, window_init=spec.init_window)
         winners = [r[0] for r in result.returns]
@@ -221,12 +221,12 @@ class TestAgainstModel:
     def test_single_rank_matches_python_dict(self, operations):
         """A sequential DHT behaves exactly like a dict with first-write-wins."""
 
-        def program(dht, ctx):
+        async def program(dht, ctx):
             model = {}
             mismatches = 0
             for op, key, value in operations:
                 if op == "insert":
-                    inserted = dht.insert(key, value)
+                    inserted = await dht.insert(key, value)
                     if key in model:
                         if inserted:
                             mismatches += 1
@@ -236,7 +236,7 @@ class TestAgainstModel:
                             mismatches += 1
                 else:
                     expected = model.get(key)
-                    if dht.lookup(key) != expected:
+                    if await dht.lookup(key) != expected:
                         mismatches += 1
             return mismatches
 

@@ -44,12 +44,12 @@ class TestStripedRWLockSpec:
         spec = StripedRWLockSpec(num_processes=2)
         runtime = SimRuntime(machine, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
             with pytest.raises(ValueError):
-                lock.acquire_read(5)
+                await lock.acquire_read(5)
             with pytest.raises(ValueError):
-                lock.release_write(-1)
+                await lock.release_write(-1)
 
         runtime.run(program, window_init=spec.init_window)
 
@@ -63,16 +63,16 @@ class TestStripedRWLockProtocol:
         runtime = make_runtime(scheduler, machine, window_words=spec.window_words + 1, seed=1)
         iterations = 4
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             for _ in range(iterations):
-                with lock.writing(0):
-                    value = ctx.get(0, shared)
-                    ctx.flush(0)
-                    ctx.put(value + 1, 0, shared)
-                    ctx.flush(0)
-            ctx.barrier()
+                async with lock.writing(0):
+                    value = await ctx.get(0, shared)
+                    await ctx.flush(0)
+                    await ctx.put(value + 1, 0, shared)
+                    await ctx.flush(0)
+            await ctx.barrier()
 
         runtime.run(program, window_init=spec.init_window)
         assert runtime.window(0).read(shared) == machine.num_processes * iterations
@@ -83,18 +83,18 @@ class TestStripedRWLockProtocol:
         flag = spec.window_words
         runtime = make_runtime(scheduler, machine, window_words=spec.window_words + 1, seed=2)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank == 0:
-                with lock.writing(0):
+                async with lock.writing(0):
                     # Wait for rank 1 to prove it entered stripe 1 concurrently.
-                    ctx.spin_while(0, flag, lambda v: v == 0)
+                    await ctx.spin_while(0, flag, lambda v: v == 0)
                 return None
-            with lock.writing(1):
+            async with lock.writing(1):
                 observed_holder_elsewhere = True
-                ctx.put(1, 0, flag)
-                ctx.flush(0)
+                await ctx.put(1, 0, flag)
+                await ctx.flush(0)
             return observed_holder_elsewhere
 
         result = runtime.run(program, window_init=spec.init_window)
@@ -107,26 +107,26 @@ class TestStripedRWLockProtocol:
         done_flag = spec.window_words + 1     # count of readers that finished
         runtime = make_runtime(scheduler, machine, window_words=spec.window_words + 2, seed=3)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank == 0:
                 # Writer: enter stripe 0 only after both readers finished.
-                ctx.spin_while(0, done_flag, lambda v: v < 2)
-                with lock.writing(0):
-                    still_inside = ctx.get(0, inside_flag)
-                    ctx.flush(0)
+                await ctx.spin_while(0, done_flag, lambda v: v < 2)
+                async with lock.writing(0):
+                    still_inside = await ctx.get(0, inside_flag)
+                    await ctx.flush(0)
                     return still_inside
-            with lock.reading(0):
-                seen = ctx.fao(1, 0, inside_flag, AtomicOp.SUM) + 1
-                ctx.flush(0)
+            async with lock.reading(0):
+                seen = await ctx.fao(1, 0, inside_flag, AtomicOp.SUM) + 1
+                await ctx.flush(0)
                 # Wait inside the stripe until the other reader has also entered:
                 # proves that two readers share one stripe concurrently.
-                ctx.spin_while(0, inside_flag, lambda v: v < 2)
-                ctx.accumulate(-1, 0, inside_flag, AtomicOp.SUM)
-                ctx.flush(0)
-            ctx.accumulate(1, 0, done_flag, AtomicOp.SUM)
-            ctx.flush(0)
+                await ctx.spin_while(0, inside_flag, lambda v: v < 2)
+                await ctx.accumulate(-1, 0, inside_flag, AtomicOp.SUM)
+                await ctx.flush(0)
+            await ctx.accumulate(1, 0, done_flag, AtomicOp.SUM)
+            await ctx.flush(0)
             return seen
 
         result = runtime.run(program, window_init=spec.init_window)
@@ -168,16 +168,16 @@ class TestStripeBoundAdapter:
         runtime = make_runtime(scheduler, machine, window_words=spec.window_words + 1, seed=4)
         iterations = 3
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             for _ in range(iterations):
-                with lock.writing():
-                    value = ctx.get(0, shared)
-                    ctx.flush(0)
-                    ctx.put(value + 1, 0, shared)
-                    ctx.flush(0)
-            ctx.barrier()
+                async with lock.writing():
+                    value = await ctx.get(0, shared)
+                    await ctx.flush(0)
+                    await ctx.put(value + 1, 0, shared)
+                    await ctx.flush(0)
+            await ctx.barrier()
 
         runtime.run(program, window_init=spec.init_window)
         assert runtime.window(0).read(shared) == machine.num_processes * iterations

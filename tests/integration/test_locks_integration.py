@@ -81,22 +81,22 @@ class TestSharedWindowComposition:
             values.update(lock_b.init_window(rank))
             return values
 
-        def program(ctx):
+        async def program(ctx):
             a = lock_a.make(ctx)
             b = lock_b.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             for _ in range(3):
-                with a.held():
-                    value = ctx.get(0, counter_a)
-                    ctx.flush(0)
-                    ctx.put(value + 1, 0, counter_a)
-                    ctx.flush(0)
-                with b.held():
-                    value = ctx.get(0, counter_b)
-                    ctx.flush(0)
-                    ctx.put(value + 1, 0, counter_b)
-                    ctx.flush(0)
-            ctx.barrier()
+                async with a.held():
+                    value = await ctx.get(0, counter_a)
+                    await ctx.flush(0)
+                    await ctx.put(value + 1, 0, counter_a)
+                    await ctx.flush(0)
+                async with b.held():
+                    value = await ctx.get(0, counter_b)
+                    await ctx.flush(0)
+                    await ctx.put(value + 1, 0, counter_b)
+                    await ctx.flush(0)
+            await ctx.barrier()
 
         rt.run(program, window_init=window_init)
         expected = machine.num_processes * 3
@@ -118,20 +118,20 @@ class TestSharedWindowComposition:
             values.update(dht.init_window(rank))
             return values
 
-        def program(ctx):
+        async def program(ctx):
             rw = lock.make(ctx)
             table = dht.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             for i in range(3):
                 key = ctx.rank * 10 + i
-                with rw.writing():
-                    table.insert(key, key, target_rank=0)
-            ctx.barrier()
+                async with rw.writing():
+                    await table.insert(key, key, target_rank=0)
+            await ctx.barrier()
             missing = 0
-            with rw.reading():
+            async with rw.reading():
                 for r in range(ctx.nranks):
                     for i in range(3):
-                        if table.lookup(r * 10 + i, target_rank=0) is None:
+                        if await table.lookup(r * 10 + i, target_rank=0) is None:
                             missing += 1
             return missing
 

@@ -79,14 +79,14 @@ class TestALockProtocol:
         spec = ALockSpec(machine)
         runtime = SimRuntime(machine, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank == 0:
-                lock.acquire()
+                await lock.acquire()
                 attempts = lock.last_attempts
-                holder = lock.holder()
-                lock.release()
+                holder = await lock.holder()
+                await lock.release()
                 return attempts, holder
             return None
 

@@ -74,13 +74,13 @@ class TestCohortTicketLockProtocol:
         spec = CohortTicketLockSpec(machine)
         runtime = SimRuntime(machine, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank == 0:
-                lock.acquire()
+                await lock.acquire()
                 acquired_global = lock.last_acquired_global
-                lock.release()
+                await lock.release()
                 return acquired_global
             return None
 
@@ -92,11 +92,11 @@ class TestCohortTicketLockProtocol:
         spec = CohortTicketLockSpec(machine)
         runtime = SimRuntime(machine, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
             if ctx.rank == 0:
                 with pytest.raises(RuntimeError):
-                    lock.release()
+                    await lock.release()
 
         runtime.run(program, window_init=spec.init_window)
 
@@ -116,14 +116,14 @@ class TestCohortTicketLockProtocol:
             values.update(ledger.init_window(rank))
             return values
 
-        def program(ctx):
+        async def program(ctx):
             lock = InstrumentedLock(spec.make(ctx), ledger, ctx)
-            ctx.barrier()
+            await ctx.barrier()
             for _ in range(iterations):
-                lock.acquire()
-                ctx.compute(0.3)
-                lock.release()
-            ctx.barrier()
+                await lock.acquire()
+                await ctx.compute(0.3)
+                await lock.release()
+            await ctx.barrier()
 
         runtime.run(program, window_init=window_init)
         grants = ledger.read_grants_from_window(runtime.window(0))
@@ -141,17 +141,17 @@ class TestCohortTicketLockProtocol:
         runtime = SimRuntime(machine, window_words=spec.window_words)
         iterations = 3
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             global_acquires = 0
             for _ in range(iterations):
-                lock.acquire()
+                await lock.acquire()
                 if lock.last_acquired_global:
                     global_acquires += 1
-                ctx.compute(0.2)
-                lock.release()
-            ctx.barrier()
+                await ctx.compute(0.2)
+                await lock.release()
+            await ctx.barrier()
             return global_acquires
 
         result = runtime.run(program, window_init=spec.init_window)

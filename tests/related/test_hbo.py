@@ -64,13 +64,13 @@ class TestHBOLockProtocol:
         spec = HBOLockSpec(machine)
         runtime = SimRuntime(machine, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank == 0:
-                lock.acquire()
+                await lock.acquire()
                 attempts = lock.last_attempts
-                lock.release()
+                await lock.release()
                 return attempts
             return None
 
@@ -83,21 +83,21 @@ class TestHBOLockProtocol:
         runtime = SimRuntime(machine, window_words=spec.window_words + 1)
         flag = spec.window_words
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank == 0:
-                lock.acquire()
-                ctx.put(1, 1, flag)
-                ctx.flush(1)
-                ctx.spin_while(0, flag, lambda v: v == 0)
-                lock.release()
-                return lock.holder()
+                await lock.acquire()
+                await ctx.put(1, 1, flag)
+                await ctx.flush(1)
+                await ctx.spin_while(0, flag, lambda v: v == 0)
+                await lock.release()
+                return await lock.holder()
             # Rank 1 observes the holder while rank 0 is inside the CS.
-            ctx.spin_while(ctx.rank, flag, lambda v: v == 0)
-            observed = lock.holder()
-            ctx.put(1, 0, flag)
-            ctx.flush(0)
+            await ctx.spin_while(ctx.rank, flag, lambda v: v == 0)
+            observed = await lock.holder()
+            await ctx.put(1, 0, flag)
+            await ctx.flush(0)
             return observed
 
         result = runtime.run(program, window_init=spec.init_window)
@@ -109,7 +109,7 @@ class TestHBOLockProtocol:
         spec = HBOLockSpec(machine, local_cap_us=2.0, remote_cap_us=20.0)
         runtime = SimRuntime(machine, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
             if ctx.rank != 0:
                 return None

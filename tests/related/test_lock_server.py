@@ -54,14 +54,14 @@ class TestLockServerProtocol:
         spec = LockServerSpec(num_processes=2)
         runtime = SimRuntime(machine, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank == 0:
-                lock.acquire()
+                await lock.acquire()
                 polls = lock.last_polls
-                depth = lock.queue_depth()
-                lock.release()
+                depth = await lock.queue_depth()
+                await lock.release()
                 return polls, depth
             return None
 
@@ -75,14 +75,14 @@ class TestLockServerProtocol:
         spec = LockServerSpec(num_processes=3, queue_threshold=0)
         runtime = SimRuntime(machine, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
-            lock.acquire()
-            ctx.compute(0.5)
-            lock.release()
-            ctx.barrier()
-            return lock.queue_depth()
+            await ctx.barrier()
+            await lock.acquire()
+            await ctx.compute(0.5)
+            await lock.release()
+            await ctx.barrier()
+            return await lock.queue_depth()
 
         result = runtime.run(program, window_init=spec.init_window)
         assert all(depth == 0 for depth in result.returns)

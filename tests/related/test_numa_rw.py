@@ -94,15 +94,15 @@ class TestNumaRWLockProtocol:
         runtime = SimRuntime(machine, window_words=spec.window_words + 1)
         shared = spec.window_words
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
-            with lock.held():
-                value = ctx.get(0, shared)
-                ctx.flush(0)
-                ctx.put(value + 1, 0, shared)
-                ctx.flush(0)
-            ctx.barrier()
+            await ctx.barrier()
+            async with lock.held():
+                value = await ctx.get(0, shared)
+                await ctx.flush(0)
+                await ctx.put(value + 1, 0, shared)
+                await ctx.flush(0)
+            await ctx.barrier()
 
         runtime.run(program, window_init=spec.init_window)
         assert runtime.window(0).read(shared) == machine.num_processes
@@ -112,13 +112,13 @@ class TestNumaRWLockProtocol:
         spec = NumaRWLockSpec(machine)
         runtime = SimRuntime(machine, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             for _ in range(3):
-                with lock.reading():
-                    ctx.compute(0.2)
-            ctx.barrier()
+                async with lock.reading():
+                    await ctx.compute(0.2)
+            await ctx.barrier()
 
         runtime.run(program, window_init=spec.init_window)
         for leader in spec.reader_counter_ranks():

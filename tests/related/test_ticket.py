@@ -40,7 +40,7 @@ class TestTicketLockSpec:
         machine = Machine.single_node(2)
         runtime = SimRuntime(machine, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             with pytest.raises(ValueError):
                 spec.make(ctx)
 
@@ -66,12 +66,12 @@ class TestTicketLockProtocol:
         spec = TicketLockSpec(num_processes=2)
         runtime = SimRuntime(machine, window_words=spec.window_words)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank == 0:
                 with pytest.raises(RuntimeError):
-                    lock.release()
+                    await lock.release()
 
         runtime.run(program, window_init=spec.init_window)
 
@@ -83,14 +83,14 @@ class TestTicketLockProtocol:
         ticket_log = spec.window_words  # p words: ticket -> rank
         runtime = SimRuntime(machine, window_words=spec.window_words + p)
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
-            lock.acquire()
+            await ctx.barrier()
+            await lock.acquire()
             ticket = lock._my_ticket
-            ctx.put(ctx.rank, 0, ticket_log + ticket)
-            ctx.flush(0)
-            lock.release()
+            await ctx.put(ctx.rank, 0, ticket_log + ticket)
+            await ctx.flush(0)
+            await lock.release()
             return ticket
 
         result = runtime.run(program, window_init=spec.init_window)
@@ -106,19 +106,19 @@ class TestTicketLockProtocol:
         runtime = SimRuntime(machine, window_words=spec.window_words + 1)
         flag = spec.window_words
 
-        def program_signal_first(ctx):
+        async def program_signal_first(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             if ctx.rank == 0:
-                lock.acquire()
-                ctx.spin_while(0, flag, lambda v: v < 2)
-                length = lock.queue_length()
-                lock.release()
+                await lock.acquire()
+                await ctx.spin_while(0, flag, lambda v: v < 2)
+                length = await lock.queue_length()
+                await lock.release()
                 return length
-            ctx.accumulate(1, 0, flag)
-            ctx.flush(0)
-            lock.acquire()
-            lock.release()
+            await ctx.accumulate(1, 0, flag)
+            await ctx.flush(0)
+            await lock.acquire()
+            await lock.release()
             return None
 
         result = runtime.run(program_signal_first, window_init=spec.init_window)

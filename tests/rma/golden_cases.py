@@ -61,7 +61,7 @@ GOLDEN_CASES: Dict[str, Dict[str, Any]] = {
         "seed": 7,
     },
     # The competing lock families ported in PR 9 (recorded with the preserved
-    # baseline copy of the seed scheduler; horizon and vector must match).
+    # baseline copy of the seed scheduler; horizon must match).
     "alock-ecsb-p8": {
         "P": 8,
         "procs_per_node": 4,

@@ -78,14 +78,14 @@ class TestFabricModel:
 
 class TestSimRuntimeIntegration:
     def _ping_program(self, shared_offset: int):
-        def program(ctx):
-            ctx.barrier()
+        async def program(ctx):
+            await ctx.barrier()
             start = ctx.now()
             if ctx.rank == 0:
                 for _ in range(5):
-                    ctx.put(1, ctx.nranks - 1, shared_offset)
-                    ctx.flush(ctx.nranks - 1)
-            ctx.barrier()
+                    await ctx.put(1, ctx.nranks - 1, shared_offset)
+                    await ctx.flush(ctx.nranks - 1)
+            await ctx.barrier()
             return ctx.now() - start
 
         return program
@@ -100,14 +100,14 @@ class TestSimRuntimeIntegration:
     def test_fabric_keeps_intra_node_traffic_unchanged(self, fabric):
         machine = Machine.cluster(nodes=4, procs_per_node=2)
 
-        def program(ctx):
-            ctx.barrier()
+        async def program(ctx):
+            await ctx.barrier()
             start = ctx.now()
             if ctx.rank == 0:
                 for _ in range(5):
-                    ctx.put(1, 1, 0)   # rank 1 is on the same node as rank 0
-                    ctx.flush(1)
-            ctx.barrier()
+                    await ctx.put(1, 1, 0)   # rank 1 is on the same node as rank 0
+                    await ctx.flush(1)
+            await ctx.barrier()
             return ctx.now() - start
 
         base = SimRuntime(machine, window_words=4, seed=1)
@@ -143,16 +143,16 @@ class TestSimRuntimeIntegration:
         runtime = SimRuntime(machine, window_words=spec.window_words + 1, fabric=fabric, seed=3)
         shared = spec.window_words
 
-        def program(ctx):
+        async def program(ctx):
             lock = spec.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             for _ in range(3):
-                with lock.held():
-                    value = ctx.get(0, shared)
-                    ctx.flush(0)
-                    ctx.put(value + 1, 0, shared)
-                    ctx.flush(0)
-            ctx.barrier()
+                async with lock.held():
+                    value = await ctx.get(0, shared)
+                    await ctx.flush(0)
+                    await ctx.put(value + 1, 0, shared)
+                    await ctx.flush(0)
+            await ctx.barrier()
 
         runtime.run(program, window_init=spec.init_window)
         assert runtime.window(0).read(shared) == machine.num_processes * 3

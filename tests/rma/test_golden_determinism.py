@@ -5,11 +5,10 @@ Three layers of protection:
 1. **Recorded goldens** — ``golden/seed_scheduler.json`` holds bit-exact
    fingerprints (hex floats + SHA-256 of the canonicalized returns) recorded
    from the original PR-0 baton-passing scheduler.  Every registered
-   deterministic runtime (the horizon scheduler, the preserved ``baseline``
-   seed scheduler *and* the batched ``vector`` core) must reproduce them
-   exactly for rma-mcs and rma-rw at P in {8, 32} — the CI
-   golden-fingerprint jobs select one scheduler each with ``-k horizon`` /
-   ``-k baseline`` / ``-k vector``.
+   deterministic runtime (the horizon scheduler and the preserved
+   ``baseline`` seed scheduler) must reproduce them exactly for rma-mcs and
+   rma-rw at P in {8, 32} — the CI golden-fingerprint jobs select one
+   scheduler each with ``-k horizon`` / ``-k baseline``.
 2. **Live cross-check** — the same workloads run on both schedulers in one
    process must match bit-for-bit (guards against the recorded file and both
    schedulers drifting together).
@@ -34,7 +33,7 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "seed_scheduler.json"
 #: Every scheduler held to the recorded goldens.  The campaign result cache
 #: keys on the golden file's hash, so whatever passes here also defines the
 #: cache epoch of `repro campaign` / `repro regress`.
-SCHEDULERS = ("horizon", "baseline", "vector")
+SCHEDULERS = ("horizon", "baseline")
 
 
 def _run_case(name: str, scheduler: str):

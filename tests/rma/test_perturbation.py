@@ -158,10 +158,10 @@ class TestPerturbedRuns:
         """Jitter draws from [0, j]: virtual time never shrinks."""
         machine = Machine.cluster(nodes=2, procs_per_node=2)
 
-        def program(ctx):
+        async def program(ctx):
             for _ in range(5):
-                ctx.get((ctx.rank + 1) % ctx.nranks, 0)
-                ctx.flush((ctx.rank + 1) % ctx.nranks)
+                await ctx.get((ctx.rank + 1) % ctx.nranks, 0)
+                await ctx.flush((ctx.rank + 1) % ctx.nranks)
 
         base = SimRuntime(machine, window_words=2).run(program).total_time_us
         jittered = SimRuntime(

@@ -54,18 +54,18 @@ class TestFacades:
         machine = Machine.cluster(nodes=1, procs_per_node=2)
         rt = SimRuntime(machine, window_words=4)
 
-        def program(ctx):
+        async def program(ctx):
             shmem = ShmemFacade(ctx)
             assert shmem.my_pe == ctx.rank
             assert shmem.n_pes == 2
             if shmem.my_pe == 0:
-                shmem.shmem_put(41, 1, 0)
-                shmem.shmem_quiet(1)
-                old = shmem.shmem_fadd(1, 0, 1)
-                shmem.shmem_quiet(1)
+                await shmem.shmem_put(41, 1, 0)
+                await shmem.shmem_quiet(1)
+                old = await shmem.shmem_fadd(1, 0, 1)
+                await shmem.shmem_quiet(1)
                 assert old == 41
-            shmem.shmem_barrier_all()
-            return shmem.shmem_get(1, 0)
+            await shmem.shmem_barrier_all()
+            return await shmem.shmem_get(1, 0)
 
         result = rt.run(program)
         assert result.returns == [42, 42]
@@ -74,15 +74,15 @@ class TestFacades:
         machine = Machine.single_node(2)
         rt = SimRuntime(machine, window_words=4)
 
-        def program(ctx):
+        async def program(ctx):
             shmem = ShmemFacade(ctx)
             if ctx.rank == 0:
-                first = shmem.shmem_swap(0, 1, 7)
-                shmem.shmem_quiet(0)
-                second = shmem.shmem_cswap(0, 1, cond=7, value=9)
-                shmem.shmem_quiet(0)
-                failed = shmem.shmem_cswap(0, 1, cond=7, value=11)
-                shmem.shmem_quiet(0)
+                first = await shmem.shmem_swap(0, 1, 7)
+                await shmem.shmem_quiet(0)
+                second = await shmem.shmem_cswap(0, 1, cond=7, value=9)
+                await shmem.shmem_quiet(0)
+                failed = await shmem.shmem_cswap(0, 1, cond=7, value=11)
+                await shmem.shmem_quiet(0)
                 return first, second, failed
             return None
 
@@ -94,13 +94,13 @@ class TestFacades:
         machine = Machine.cluster(nodes=2, procs_per_node=2)
         rt = SimRuntime(machine, window_words=4)
 
-        def program(ctx):
+        async def program(ctx):
             upc = UpcFacade(ctx)
             assert upc.threads == 4
-            upc.upc_inc(0, 2, 1)
-            upc.upc_fence(0)
-            upc.upc_barrier()
-            return upc.upc_get(0, 2)
+            await upc.upc_inc(0, 2, 1)
+            await upc.upc_fence(0)
+            await upc.upc_barrier()
+            return await upc.upc_get(0, 2)
 
         result = rt.run(program)
         assert result.returns == [4, 4, 4, 4]
@@ -109,10 +109,10 @@ class TestFacades:
         machine = Machine.single_node(4)
         rt = SimRuntime(machine, window_words=4)
 
-        def program(ctx):
+        async def program(ctx):
             upc = UpcFacade(ctx)
-            won = upc.upc_cswap(0, 3, compare=0, value=upc.mythread + 1) == 0
-            upc.upc_fence(0)
+            won = await upc.upc_cswap(0, 3, compare=0, value=upc.mythread + 1) == 0
+            await upc.upc_fence(0)
             return won
 
         result = rt.run(program)
@@ -130,36 +130,36 @@ class TestFacades:
                 values[TAIL] = -1
             return values
 
-        def program(ctx):
+        async def program(ctx):
             shmem = ShmemFacade(ctx)
             me = shmem.my_pe
-            shmem.shmem_barrier_all()
+            await shmem.shmem_barrier_all()
             for _ in range(3):
                 # acquire (Listing 2, SHMEM spelling)
-                shmem.shmem_put(-1, me, NEXT)
-                shmem.shmem_put(1, me, WAIT)
-                shmem.shmem_quiet(me)
-                pred = shmem.shmem_swap(0, TAIL, me)
-                shmem.shmem_quiet(0)
+                await shmem.shmem_put(-1, me, NEXT)
+                await shmem.shmem_put(1, me, WAIT)
+                await shmem.shmem_quiet(me)
+                pred = await shmem.shmem_swap(0, TAIL, me)
+                await shmem.shmem_quiet(0)
                 if pred != -1:
-                    shmem.shmem_put(me, pred, NEXT)
-                    shmem.shmem_quiet(pred)
-                    ctx.spin_while(me, WAIT, lambda v: v == 1)
+                    await shmem.shmem_put(me, pred, NEXT)
+                    await shmem.shmem_quiet(pred)
+                    await ctx.spin_while(me, WAIT, lambda v: v == 1)
                 # critical section
-                count = shmem.shmem_get(0, COUNTER)
-                shmem.shmem_quiet(0)
-                shmem.shmem_put(count + 1, 0, COUNTER)
-                shmem.shmem_quiet(0)
+                count = await shmem.shmem_get(0, COUNTER)
+                await shmem.shmem_quiet(0)
+                await shmem.shmem_put(count + 1, 0, COUNTER)
+                await shmem.shmem_quiet(0)
                 # release (Listing 3)
-                succ = shmem.shmem_get(me, NEXT)
-                shmem.shmem_quiet(me)
+                succ = await shmem.shmem_get(me, NEXT)
+                await shmem.shmem_quiet(me)
                 if succ == -1:
-                    if shmem.shmem_cswap(0, TAIL, cond=me, value=-1) == me:
+                    if await shmem.shmem_cswap(0, TAIL, cond=me, value=-1) == me:
                         continue
-                    succ = ctx.spin_while(me, NEXT, lambda v: v == -1)
-                shmem.shmem_put(0, succ, WAIT)
-                shmem.shmem_quiet(succ)
-            shmem.shmem_barrier_all()
+                    succ = await ctx.spin_while(me, NEXT, lambda v: v == -1)
+                await shmem.shmem_put(0, succ, WAIT)
+                await shmem.shmem_quiet(succ)
+            await shmem.shmem_barrier_all()
 
         rt.run(program, window_init=window_init)
         assert rt.window(0).read(COUNTER) == machine.num_processes * 3

@@ -32,13 +32,13 @@ class TestSpinWhileWrapper:
         machine = Machine.single_node(2)
         rt = SimRuntime(machine, window_words=4)
 
-        def program(ctx):
+        async def program(ctx):
             if ctx.rank == 0:
-                ctx.compute(5.0)
-                ctx.put(3, 1, 2)
-                ctx.flush(1)
+                await ctx.compute(5.0)
+                await ctx.put(3, 1, 2)
+                await ctx.flush(1)
                 return None
-            return ctx.spin_while(1, 2, lambda v: v < 3)
+            return await ctx.spin_while(1, 2, lambda v: v < 3)
 
         result = rt.run(program)
         assert result.returns[1] == 3
@@ -47,12 +47,51 @@ class TestSpinWhileWrapper:
         machine = Machine.single_node(2)
         rt = SimRuntime(machine, window_words=4)
 
-        def program(ctx):
+        async def program(ctx):
             start = ctx.now()
-            value = ctx.spin_while(ctx.rank, 0, lambda v: v != 0)  # already 0
+            value = await ctx.spin_while(ctx.rank, 0, lambda v: v != 0)  # already 0
             return value, ctx.now() - start
 
         result = rt.run(program)
         for value, elapsed in result.returns:
             assert value == 0
             assert elapsed < 5.0  # one local get + flush, no parking
+
+
+class TestCoroutineCallingConvention:
+    @pytest.mark.parametrize("runtime_name", ["horizon", "baseline", "thread"])
+    def test_plain_function_program_is_rejected(self, runtime_name):
+        """A program written without ``async`` would run zero operations."""
+        from repro.api.registry import get_runtime
+
+        rt = get_runtime(runtime_name).factory(Machine.single_node(2), window_words=4)
+
+        def program(ctx):  # missing ``async``: ctx.put only makes a coroutine
+            return ctx.rank
+
+        with pytest.raises(TypeError, match="not a coroutine"):
+            rt.run(program)
+
+    @pytest.mark.parametrize("runtime_name", ["horizon", "baseline", "thread"])
+    def test_async_program_runs_on_every_runtime(self, runtime_name):
+        from repro.api.registry import get_runtime
+
+        rt = get_runtime(runtime_name).factory(Machine.single_node(2), window_words=4)
+
+        async def program(ctx):
+            await ctx.put(ctx.rank + 1, ctx.rank, 0)
+            await ctx.flush(ctx.rank)
+            await ctx.barrier()
+            value = await ctx.get(1 - ctx.rank, 0)
+            await ctx.flush(1 - ctx.rank)
+            return value
+
+        assert rt.run(program).returns == [2, 1]
+
+    def test_faulted_horizon_run_rejects_a_plain_function_program(self):
+        from repro.fault import FaultPlan, RankFault
+
+        plan = FaultPlan(faults=(RankFault(rank=1, kill_us=1000.0),))
+        rt = SimRuntime(Machine.single_node(2), window_words=4, fault_plan=plan)
+        with pytest.raises(TypeError, match="not a coroutine"):
+            rt.run(lambda ctx: None)

@@ -8,13 +8,10 @@ must
 1. reproduce the recorded golden fingerprints at P in {8, 32} bit-exactly,
 2. round-trip through the ``Cluster``/``Session`` facade
    (``Cluster(runtime=<name>).session(lock).run(...)``) with results
-   bit-identical to the horizon scheduler, and
-3. (vector specifically) hold golden bit-exactness under explicit shard
-   counts, so the sharded lookahead path is exercised by tier-1 and not just
-   by whatever ``"auto"`` resolves to on the current host.
+   bit-identical to the horizon scheduler.
 
-The third-party backend registered here wraps the vector core with a fixed
-two-shard plan — exactly what an external package would ship — and is torn
+The third-party backend registered here builds the horizon core under a
+name of its own — exactly what an external package would ship — and is torn
 down again so registration is side-effect free for the rest of the session.
 """
 
@@ -35,23 +32,23 @@ from golden_cases import GOLDEN_CASES, golden_config, result_fingerprint
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "seed_scheduler.json"
 
-THIRD_PARTY_NAME = "acme-batched"
+THIRD_PARTY_NAME = "acme-horizon"
 
 
 @pytest.fixture(scope="module")
 def third_party_runtime():
     """Register an out-of-tree style backend; unregister on teardown."""
-    from repro.rma.vector_runtime import VectorRuntime
+    from repro.rma.sim_runtime import SimRuntime
 
     @register_runtime(
         THIRD_PARTY_NAME,
-        help="test-only third-party backend (vector core pinned to 2 shards)",
+        help="test-only third-party backend (the horizon core under another name)",
     )
     def _make_acme(
         machine, *, window_words=64, seed=0, latency=None, fabric=None,
         tracer=None, perturbation=None, observer=None,
     ):
-        return VectorRuntime(
+        return SimRuntime(
             machine,
             window_words=window_words,
             seed=seed,
@@ -60,7 +57,6 @@ def third_party_runtime():
             tracer=tracer,
             perturbation=perturbation,
             observer=observer,
-            shards=2,
         )
 
     try:
@@ -100,7 +96,7 @@ def _assert_matches_golden(name, runtime_name, recorded, **factory_kwargs):
 
 def test_all_registered_runtimes_are_enumerable():
     names = runtime_names(deterministic=True)
-    assert {"horizon", "baseline", "vector"} <= set(names)
+    assert {"horizon", "baseline"} <= set(names)
     # Wall-clock backends must not leak into the deterministic set.
     assert "thread" not in names
 
@@ -121,20 +117,13 @@ def test_third_party_runtime_reproduces_goldens(
     _assert_matches_golden(name, third_party_runtime, recorded_goldens)
 
 
-@pytest.mark.parametrize("shards", [2, 4])
-@pytest.mark.parametrize("name", ["rma-mcs-ecsb-p8", "rma-rw-wcsb-p32"])
-def test_vector_explicit_shards_reproduce_goldens(name, shards, recorded_goldens):
-    """Sharded lookahead stays bit-exact regardless of the shard count."""
-    _assert_matches_golden(name, "vector", recorded_goldens, shards=shards)
-
-
 def _counter_program(lock, scratch_offset: int):
-    def program(ctx):
+    async def program(ctx):
         handle = lock.make(ctx)
         for _ in range(3):
-            handle.acquire()
-            ctx.accumulate(1, 0, scratch_offset)
-            handle.release()
+            await handle.acquire()
+            await ctx.accumulate(1, 0, scratch_offset)
+            await handle.release()
         return ctx.now()
 
     return program

@@ -13,6 +13,10 @@ from repro.rma.sim_runtime import SimRuntime
 from repro.topology.machine import Machine
 
 
+async def rank_of(ctx):
+    return ctx.rank
+
+
 def make_runtime(machine=None, **kwargs) -> SimRuntime:
     machine = machine or Machine.cluster(nodes=2, procs_per_node=2)
     kwargs.setdefault("window_words", 8)
@@ -23,13 +27,13 @@ class TestBasics:
     def test_put_and_get_across_ranks(self):
         rt = make_runtime()
 
-        def program(ctx):
+        async def program(ctx):
             if ctx.rank == 1:
-                ctx.put(111, 0, 3)
-                ctx.flush(0)
-            ctx.barrier()
-            value = ctx.get(0, 3)
-            ctx.flush(0)
+                await ctx.put(111, 0, 3)
+                await ctx.flush(0)
+            await ctx.barrier()
+            value = await ctx.get(0, 3)
+            await ctx.flush(0)
             return value
 
         result = rt.run(program)
@@ -37,7 +41,11 @@ class TestBasics:
 
     def test_returns_in_rank_order(self):
         rt = make_runtime()
-        result = rt.run(lambda ctx: ctx.rank * 10)
+
+        async def program(ctx):
+            return ctx.rank * 10
+
+        result = rt.run(program)
         assert result.returns == [0, 10, 20, 30]
 
     def test_window_init_applied(self):
@@ -46,9 +54,9 @@ class TestBasics:
         def init(rank):
             return {0: rank + 100}
 
-        def program(ctx):
-            value = ctx.get(ctx.rank, 0)
-            ctx.flush(ctx.rank)
+        async def program(ctx):
+            value = await ctx.get(ctx.rank, 0)
+            await ctx.flush(ctx.rank)
             return value
 
         result = rt.run(program, window_init=init)
@@ -56,7 +64,11 @@ class TestBasics:
 
     def test_program_args_passed_per_rank(self):
         rt = make_runtime()
-        result = rt.run(lambda ctx, arg: arg * 2, program_args=[1, 2, 3, 4])
+
+        async def program(ctx, arg):
+            return arg * 2
+
+        result = rt.run(program, program_args=[1, 2, 3, 4])
         assert result.returns == [2, 4, 6, 8]
 
     def test_program_args_length_checked(self):
@@ -67,12 +79,12 @@ class TestBasics:
     def test_fao_accumulates_atomically_across_ranks(self):
         rt = make_runtime()
 
-        def program(ctx):
+        async def program(ctx):
             total = 0
             for _ in range(10):
-                ctx.fao(1, 0, 0, AtomicOp.SUM)
-                ctx.flush(0)
-            ctx.barrier()
+                await ctx.fao(1, 0, 0, AtomicOp.SUM)
+                await ctx.flush(0)
+            await ctx.barrier()
             return total
 
         rt.run(program)
@@ -81,9 +93,9 @@ class TestBasics:
     def test_cas_only_one_winner(self):
         rt = make_runtime()
 
-        def program(ctx):
-            prev = ctx.cas(ctx.rank + 1, 0, 0, 1)
-            ctx.flush(0)
+        async def program(ctx):
+            prev = await ctx.cas(ctx.rank + 1, 0, 0, 1)
+            await ctx.flush(0)
             return prev == 0  # True for the single winner
 
         result = rt.run(program)
@@ -93,10 +105,10 @@ class TestBasics:
     def test_accumulate_replace(self):
         rt = make_runtime()
 
-        def program(ctx):
+        async def program(ctx):
             if ctx.rank == 2:
-                ctx.accumulate(77, 1, 5, AtomicOp.REPLACE)
-                ctx.flush(1)
+                await ctx.accumulate(77, 1, 5, AtomicOp.REPLACE)
+                await ctx.flush(1)
 
         rt.run(program)
         assert rt.window(1).read(5) == 77
@@ -115,10 +127,10 @@ class TestVirtualTime:
     def test_clock_advances_with_operations(self):
         rt = make_runtime()
 
-        def program(ctx):
+        async def program(ctx):
             start = ctx.now()
-            ctx.put(1, (ctx.rank + 1) % ctx.nranks, 0)
-            ctx.flush((ctx.rank + 1) % ctx.nranks)
+            await ctx.put(1, (ctx.rank + 1) % ctx.nranks, 0)
+            await ctx.flush((ctx.rank + 1) % ctx.nranks)
             return ctx.now() - start
 
         result = rt.run(program)
@@ -128,12 +140,12 @@ class TestVirtualTime:
         machine = Machine.cluster(nodes=2, procs_per_node=2)
         rt = SimRuntime(machine, window_words=4)
 
-        def program(ctx):
+        async def program(ctx):
             start = ctx.now()
-            ctx.get(ctx.rank, 0)          # local
+            await ctx.get(ctx.rank, 0)          # local
             local = ctx.now() - start
             start = ctx.now()
-            ctx.get((ctx.rank + 2) % 4, 0)  # other node
+            await ctx.get((ctx.rank + 2) % 4, 0)  # other node
             remote = ctx.now() - start
             return local, remote
 
@@ -144,9 +156,9 @@ class TestVirtualTime:
     def test_compute_advances_clock(self):
         rt = make_runtime()
 
-        def program(ctx):
+        async def program(ctx):
             start = ctx.now()
-            ctx.compute(12.5)
+            await ctx.compute(12.5)
             return ctx.now() - start
 
         result = rt.run(program)
@@ -160,9 +172,9 @@ class TestVirtualTime:
     def test_barrier_synchronizes_clocks(self):
         rt = make_runtime()
 
-        def program(ctx):
-            ctx.compute(float(ctx.rank) * 10.0)
-            ctx.barrier()
+        async def program(ctx):
+            await ctx.compute(float(ctx.rank) * 10.0)
+            await ctx.barrier()
             return ctx.now()
 
         result = rt.run(program)
@@ -172,8 +184,8 @@ class TestVirtualTime:
     def test_total_time_is_max_finish_time(self):
         rt = make_runtime()
 
-        def program(ctx):
-            ctx.compute(5.0 * (ctx.rank + 1))
+        async def program(ctx):
+            await ctx.compute(5.0 * (ctx.rank + 1))
 
         result = rt.run(program)
         assert result.total_time_us == pytest.approx(max(result.finish_times_us))
@@ -183,15 +195,15 @@ class TestVirtualTime:
         """Concurrent atomics on one rank take longer than on distinct ranks."""
         machine = Machine.cluster(nodes=2, procs_per_node=4)
 
-        def hammer_shared(ctx):
+        async def hammer_shared(ctx):
             for _ in range(20):
-                ctx.fao(1, 0, 0, AtomicOp.SUM)
-                ctx.flush(0)
+                await ctx.fao(1, 0, 0, AtomicOp.SUM)
+                await ctx.flush(0)
 
-        def hammer_private(ctx):
+        async def hammer_private(ctx):
             for _ in range(20):
-                ctx.fao(1, ctx.rank, 0, AtomicOp.SUM)
-                ctx.flush(ctx.rank)
+                await ctx.fao(1, ctx.rank, 0, AtomicOp.SUM)
+                await ctx.flush(ctx.rank)
 
         hot = SimRuntime(machine, window_words=4).run(hammer_shared).total_time_us
         spread = SimRuntime(machine, window_words=4).run(hammer_private).total_time_us
@@ -202,10 +214,10 @@ class TestDeterminism:
     def test_identical_runs_produce_identical_results(self):
         machine = Machine.cluster(nodes=2, procs_per_node=4)
 
-        def program(ctx):
+        async def program(ctx):
             for i in range(5):
-                ctx.fao(int(ctx.rng.integers(1, 10)), 0, 0, AtomicOp.SUM)
-                ctx.flush(0)
+                await ctx.fao(int(ctx.rng.integers(1, 10)), 0, 0, AtomicOp.SUM)
+                await ctx.flush(0)
             return ctx.now()
 
         r1 = SimRuntime(machine, window_words=4, seed=9).run(program)
@@ -217,7 +229,7 @@ class TestDeterminism:
     def test_different_seed_changes_rng_draws(self):
         machine = Machine.cluster(nodes=1, procs_per_node=2)
 
-        def program(ctx):
+        async def program(ctx):
             return int(ctx.rng.integers(0, 1_000_000))
 
         r1 = SimRuntime(machine, window_words=2, seed=1).run(program)
@@ -229,14 +241,14 @@ class TestSpinAndWakeup:
     def test_spin_while_sees_remote_update(self):
         rt = make_runtime()
 
-        def program(ctx):
+        async def program(ctx):
             if ctx.rank == 0:
-                ctx.compute(50.0)
-                ctx.put(1, 1, 0)
-                ctx.flush(1)
+                await ctx.compute(50.0)
+                await ctx.put(1, 1, 0)
+                await ctx.flush(1)
                 return None
             if ctx.rank == 1:
-                value = ctx.spin_while(1, 0, lambda v: v == 0)
+                value = await ctx.spin_while(1, 0, lambda v: v == 0)
                 return value
             return None
 
@@ -246,17 +258,17 @@ class TestSpinAndWakeup:
     def test_spin_on_multiple_cells(self):
         rt = make_runtime()
 
-        def program(ctx):
+        async def program(ctx):
             if ctx.rank == 0:
-                ctx.compute(10.0)
-                ctx.put(5, 0, 2)
-                ctx.flush(0)
-                ctx.compute(10.0)
-                ctx.put(7, 0, 3)
-                ctx.flush(0)
+                await ctx.compute(10.0)
+                await ctx.put(5, 0, 2)
+                await ctx.flush(0)
+                await ctx.compute(10.0)
+                await ctx.put(7, 0, 3)
+                await ctx.flush(0)
                 return None
             if ctx.rank == 3:
-                values = ctx.spin_on_cells([(0, 2), (0, 3)], lambda vs: vs[0] + vs[1] < 12)
+                values = await ctx.spin_on_cells([(0, 2), (0, 3)], lambda vs: vs[0] + vs[1] < 12)
                 return tuple(values)
             return None
 
@@ -266,14 +278,14 @@ class TestSpinAndWakeup:
     def test_woken_spinner_time_is_after_writer(self):
         rt = make_runtime()
 
-        def program(ctx):
+        async def program(ctx):
             if ctx.rank == 0:
-                ctx.compute(100.0)
-                ctx.put(1, 1, 0)
-                ctx.flush(1)
+                await ctx.compute(100.0)
+                await ctx.put(1, 1, 0)
+                await ctx.flush(1)
                 return ctx.now()
             if ctx.rank == 1:
-                ctx.spin_while(1, 0, lambda v: v == 0)
+                await ctx.spin_while(1, 0, lambda v: v == 0)
                 return ctx.now()
             return 0.0
 
@@ -285,8 +297,8 @@ class TestFailureModes:
     def test_deadlock_detected_when_everyone_spins(self):
         rt = make_runtime()
 
-        def program(ctx):
-            ctx.spin_while(ctx.rank, 0, lambda v: v == 0)  # nobody will ever write
+        async def program(ctx):
+            await ctx.spin_while(ctx.rank, 0, lambda v: v == 0)  # nobody will ever write
 
         with pytest.raises(SimDeadlockError):
             rt.run(program)
@@ -294,9 +306,9 @@ class TestFailureModes:
     def test_deadlock_detected_when_barrier_is_missed(self):
         rt = make_runtime()
 
-        def program(ctx):
+        async def program(ctx):
             if ctx.rank != 0:
-                ctx.barrier()
+                await ctx.barrier()
 
         with pytest.raises(SimDeadlockError):
             rt.run(program)
@@ -304,9 +316,9 @@ class TestFailureModes:
     def test_deadlock_message_mentions_blocked_ranks(self):
         rt = make_runtime()
 
-        def program(ctx):
+        async def program(ctx):
             if ctx.rank == 2:
-                ctx.spin_while(2, 0, lambda v: v == 0)
+                await ctx.spin_while(2, 0, lambda v: v == 0)
 
         with pytest.raises(SimDeadlockError, match="rank 2"):
             rt.run(program)
@@ -314,10 +326,10 @@ class TestFailureModes:
     def test_exception_in_program_propagates(self):
         rt = make_runtime()
 
-        def program(ctx):
+        async def program(ctx):
             if ctx.rank == 1:
                 raise ValueError("boom from rank 1")
-            ctx.barrier()
+            await ctx.barrier()
 
         with pytest.raises(ValueError, match="boom from rank 1"):
             rt.run(program)
@@ -325,10 +337,9 @@ class TestFailureModes:
     def test_spin_predicate_error_surfaces_and_never_leaks_across_ranks(self):
         """A raising spin predicate fails the run with its own exception.
 
-        The poll round that re-evaluates the predicate after a wake runs on
-        whichever thread drives the scheduler (threadless waiters), so the
-        error must be routed through the abort machinery instead of unwinding
-        through another rank's program frames.
+        The poll round that re-evaluates the predicate after a wake runs in
+        rank 1's own coroutine, so the error unwinds rank 1's program and is
+        never raised into the rank whose write woke it.
         """
         rt = make_runtime()
 
@@ -337,17 +348,17 @@ class TestFailureModes:
                 raise ValueError("predicate exploded")
             return True  # keep spinning while the cell is 0
 
-        def program(ctx):
+        async def program(ctx):
             if ctx.rank == 1:
-                ctx.spin_while(1, 0, flaky_predicate)
+                await ctx.spin_while(1, 0, flaky_predicate)
                 return None
             if ctx.rank == 0:
                 caught = False
                 try:
-                    ctx.compute(50.0)
-                    ctx.put(1, 1, 0)  # wakes rank 1, whose re-poll raises
-                    ctx.flush(1)
-                    ctx.compute(50.0)
+                    await ctx.compute(50.0)
+                    await ctx.put(1, 1, 0)  # wakes rank 1, whose re-poll raises
+                    await ctx.flush(1)
+                    await ctx.compute(50.0)
                 except ValueError:
                     caught = True  # must never see rank 1's error
                 assert not caught, "rank 1's predicate error leaked into rank 0"
@@ -359,10 +370,10 @@ class TestFailureModes:
     def test_spin_error_on_first_poll_propagates_like_any_program_error(self):
         rt = make_runtime()
 
-        def program(ctx):
+        async def program(ctx):
             if ctx.rank == 2:
-                ctx.spin_while(0, 0, lambda v: 1 / 0 > 0)
-            ctx.barrier()
+                await ctx.spin_while(0, 0, lambda v: 1 / 0 > 0)
+            await ctx.barrier()
 
         with pytest.raises(ZeroDivisionError):
             rt.run(program)
@@ -370,10 +381,10 @@ class TestFailureModes:
     def test_max_ops_guards_against_livelock(self):
         rt = make_runtime(max_ops=50)
 
-        def program(ctx):
+        async def program(ctx):
             for _ in range(1000):
-                ctx.get(0, 0)
-                ctx.flush(0)
+                await ctx.get(0, 0)
+                await ctx.flush(0)
 
         with pytest.raises(RuntimeError_, match="max_ops"):
             rt.run(program)
@@ -385,7 +396,7 @@ class TestRunLifecycle:
         started = threading.Event()
         release = threading.Event()
 
-        def slow_program(ctx):
+        async def slow_program(ctx):
             if ctx.rank == 0:
                 started.set()
                 release.wait(timeout=30)
@@ -400,23 +411,23 @@ class TestRunLifecycle:
         t.start()
         assert started.wait(timeout=30)
         with pytest.raises(RuntimeError_, match="not reentrant"):
-            rt.run(lambda ctx: ctx.rank)
+            rt.run(rank_of)
         release.set()
         t.join(timeout=30)
         assert not t.is_alive()
         assert results["first"].returns == [0, 1, 2, 3]
         # The guard is released once the first run completes.
-        assert rt.run(lambda ctx: ctx.rank).returns == [0, 1, 2, 3]
+        assert rt.run(rank_of).returns == [0, 1, 2, 3]
 
     def test_failed_run_does_not_leak_into_next_run(self):
         rt = make_runtime()
 
-        def failing(ctx):
-            ctx.put(7, 0, 0)
-            ctx.flush(0)
+        async def failing(ctx):
+            await ctx.put(7, 0, 0)
+            await ctx.flush(0)
             if ctx.rank == 2:
                 raise ValueError("injected failure")
-            ctx.barrier()
+            await ctx.barrier()
 
         with pytest.raises(ValueError, match="injected failure"):
             rt.run(failing)
@@ -434,9 +445,12 @@ class TestRunLifecycle:
             raise KeyError("bad init")
 
         with pytest.raises(KeyError, match="bad init"):
-            rt.run(lambda ctx: None, window_init=bad_init)
+            rt.run(rank_of, window_init=bad_init)
 
-        result = rt.run(lambda ctx: ctx.rank * 2)
+        async def doubled(ctx):
+            return ctx.rank * 2
+
+        result = rt.run(doubled)
         assert result.returns == [0, 2, 4, 6]
 
     def test_observer_reset_on_every_run_including_after_failure(self):
@@ -462,14 +476,14 @@ class TestRunLifecycle:
         obs = RecordingObserver()
         rt = make_runtime(observer=obs)
 
-        def failing(ctx):
+        async def failing(ctx):
             from repro.rma.ops import AtomicOp
 
-            ctx.fao(1, 0, 0, AtomicOp.SUM)
-            ctx.flush(0)
+            await ctx.fao(1, 0, 0, AtomicOp.SUM)
+            await ctx.flush(0)
             if ctx.rank == 1:
                 raise ValueError("injected failure")
-            ctx.barrier()
+            await ctx.barrier()
 
         with pytest.raises(ValueError, match="injected failure"):
             rt.run(failing)
@@ -478,11 +492,11 @@ class TestRunLifecycle:
         failed_rmws = obs.rmws
         assert failed_rmws >= 1
 
-        def clean(ctx):
+        async def clean(ctx):
             from repro.rma.ops import AtomicOp
 
-            ctx.fao(1, 0, 0, AtomicOp.SUM)
-            ctx.flush(0)
+            await ctx.fao(1, 0, 0, AtomicOp.SUM)
+            await ctx.flush(0)
             return ctx.rank
 
         result = rt.run(clean)
@@ -499,17 +513,17 @@ class TestRunLifecycle:
         obs = LockOracleObserver()
         rt = make_runtime(observer=obs)
 
-        def dies_while_holding(ctx):
+        async def dies_while_holding(ctx):
             if ctx.rank == 0:
                 obs.wait_start(ctx.rank, MODE_WRITE, ctx.now())
                 obs.acquired(ctx.rank, MODE_WRITE, ctx.now())
                 raise ValueError("holder crashed")
-            ctx.barrier()
+            await ctx.barrier()
 
         with pytest.raises(ValueError, match="holder crashed"):
             rt.run(dies_while_holding)
 
-        def balanced(ctx):
+        async def balanced(ctx):
             obs.wait_start(ctx.rank, MODE_WRITE, ctx.now())
             obs.acquired(ctx.rank, MODE_WRITE, ctx.now())
             obs.released(ctx.rank, MODE_WRITE, ctx.now())
@@ -528,13 +542,13 @@ class TestStatistics:
     def test_op_counts_accumulate(self):
         rt = make_runtime()
 
-        def program(ctx):
-            ctx.put(1, 0, 0)
-            ctx.get(0, 0)
-            ctx.flush(0)
-            ctx.accumulate(1, 0, 1)
-            ctx.fao(1, 0, 2, AtomicOp.SUM)
-            ctx.cas(1, 0, 0, 3)
+        async def program(ctx):
+            await ctx.put(1, 0, 0)
+            await ctx.get(0, 0)
+            await ctx.flush(0)
+            await ctx.accumulate(1, 0, 1)
+            await ctx.fao(1, 0, 2, AtomicOp.SUM)
+            await ctx.cas(1, 0, 0, 3)
 
         result = rt.run(program)
         assert result.op_counts["put"] == 4
@@ -561,9 +575,9 @@ class TestStatistics:
     def test_wall_time_and_ops_rate_recorded(self):
         rt = make_runtime()
 
-        def program(ctx):
-            ctx.put(1, 0, 0)
-            ctx.flush(0)
+        async def program(ctx):
+            await ctx.put(1, 0, 0)
+            await ctx.flush(0)
 
         result = rt.run(program)
         assert result.wall_time_s > 0.0
@@ -573,9 +587,9 @@ class TestStatistics:
         machine = Machine.cluster(nodes=2, procs_per_node=2)
         slow = LatencyModel.scaled(10.0)
 
-        def program(ctx):
-            ctx.get(3 - ctx.rank, 0)
-            ctx.flush(3 - ctx.rank)
+        async def program(ctx):
+            await ctx.get(3 - ctx.rank, 0)
+            await ctx.flush(3 - ctx.rank)
 
         fast_time = SimRuntime(machine, window_words=2).run(program).total_time_us
         slow_time = SimRuntime(machine, window_words=2, latency=slow).run(program).total_time_us

@@ -19,12 +19,12 @@ class TestBasics:
     def test_put_get_round_trip(self):
         rt = make_runtime()
 
-        def program(ctx):
-            ctx.put(ctx.rank + 50, ctx.rank, 0)
-            ctx.flush(ctx.rank)
-            ctx.barrier()
-            value = ctx.get((ctx.rank + 1) % ctx.nranks, 0)
-            ctx.flush((ctx.rank + 1) % ctx.nranks)
+        async def program(ctx):
+            await ctx.put(ctx.rank + 50, ctx.rank, 0)
+            await ctx.flush(ctx.rank)
+            await ctx.barrier()
+            value = await ctx.get((ctx.rank + 1) % ctx.nranks, 0)
+            await ctx.flush((ctx.rank + 1) % ctx.nranks)
             return value
 
         result = rt.run(program)
@@ -34,10 +34,10 @@ class TestBasics:
         rt = make_runtime()
         increments = 200
 
-        def program(ctx):
+        async def program(ctx):
             for _ in range(increments):
-                ctx.fao(1, 0, 0, AtomicOp.SUM)
-            ctx.flush(0)
+                await ctx.fao(1, 0, 0, AtomicOp.SUM)
+            await ctx.flush(0)
 
         rt.run(program)
         assert rt.window(0).read(0) == increments * rt.num_ranks
@@ -45,14 +45,14 @@ class TestBasics:
     def test_concurrent_cas_single_winner_per_round(self):
         rt = make_runtime()
 
-        def program(ctx):
+        async def program(ctx):
             wins = 0
             for round_no in range(50):
-                prev = ctx.cas(ctx.rank + 1, 0, 0, 1)
+                prev = await ctx.cas(ctx.rank + 1, 0, 0, 1)
                 if prev == 0:
                     wins += 1
-                    ctx.put(0, 0, 1)  # release the slot for the next round
-                ctx.flush(0)
+                    await ctx.put(0, 0, 1)  # release the slot for the next round
+                await ctx.flush(0)
             return wins
 
         result = rt.run(program)
@@ -68,7 +68,11 @@ class TestBasics:
 
     def test_program_args(self):
         rt = make_runtime()
-        result = rt.run(lambda ctx, arg: arg + ctx.rank, program_args=[10, 10, 10, 10])
+
+        async def program(ctx, arg):
+            return arg + ctx.rank
+
+        result = rt.run(program, program_args=[10, 10, 10, 10])
         assert result.returns == [10, 11, 12, 13]
 
     def test_invalid_target_raises(self):
@@ -79,10 +83,10 @@ class TestBasics:
     def test_exception_propagates(self):
         rt = make_runtime()
 
-        def program(ctx):
+        async def program(ctx):
             if ctx.rank == 0:
                 raise RuntimeError("rank 0 exploded")
-            ctx.barrier()
+            await ctx.barrier()
 
         with pytest.raises(RuntimeError, match="rank 0 exploded"):
             rt.run(program)
@@ -92,14 +96,14 @@ class TestSpinning:
     def test_spin_while_wakes_on_remote_write(self):
         rt = make_runtime()
 
-        def program(ctx):
+        async def program(ctx):
             if ctx.rank == 0:
-                ctx.compute(2000.0)  # 2 ms
-                ctx.put(9, 1, 4)
-                ctx.flush(1)
+                await ctx.compute(2000.0)  # 2 ms
+                await ctx.put(9, 1, 4)
+                await ctx.flush(1)
                 return None
             if ctx.rank == 1:
-                return ctx.spin_while(1, 4, lambda v: v == 0)
+                return await ctx.spin_while(1, 4, lambda v: v == 0)
             return None
 
         result = rt.run(program)
@@ -108,9 +112,9 @@ class TestSpinning:
     def test_spin_timeout_raises(self):
         rt = make_runtime(spin_timeout_s=0.2)
 
-        def program(ctx):
+        async def program(ctx):
             if ctx.rank == 0:
-                ctx.spin_while(0, 0, lambda v: v == 0)
+                await ctx.spin_while(0, 0, lambda v: v == 0)
 
         with pytest.raises(TimeoutError):
             rt.run(program)
@@ -120,10 +124,10 @@ class TestAccounting:
     def test_op_counts(self):
         rt = make_runtime()
 
-        def program(ctx):
-            ctx.put(1, 0, 0)
-            ctx.get(0, 0)
-            ctx.flush(0)
+        async def program(ctx):
+            await ctx.put(1, 0, 0)
+            await ctx.get(0, 0)
+            await ctx.flush(0)
 
         result = rt.run(program)
         assert result.op_counts["put"] == 4
@@ -133,9 +137,9 @@ class TestAccounting:
     def test_now_progresses(self):
         rt = make_runtime()
 
-        def program(ctx):
+        async def program(ctx):
             start = ctx.now()
-            ctx.compute(500.0)
+            await ctx.compute(500.0)
             return ctx.now() - start
 
         result = rt.run(program)
@@ -146,10 +150,10 @@ class TestAccounting:
         fast = ThreadRuntime(machine, window_words=4)
         slow = ThreadRuntime(machine, window_words=4, injected_delay_us=300.0)
 
-        def program(ctx):
+        async def program(ctx):
             start = ctx.now()
             for _ in range(10):
-                ctx.get(0, 0)
+                await ctx.get(0, 0)
             return ctx.now() - start
 
         fast_avg = sum(fast.run(program).returns) / 2

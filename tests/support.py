@@ -99,27 +99,27 @@ def run_mutex_check(
             values[owner_off] = NULL_RANK
         return values
 
-    def program(ctx):
+    async def program(ctx):
         lock = spec.make(ctx)
-        ctx.barrier()
+        await ctx.barrier()
         for _ in range(iterations):
-            lock.acquire()
-            owner = ctx.get(0, owner_off)
-            ctx.flush(0)
+            await lock.acquire()
+            owner = await ctx.get(0, owner_off)
+            await ctx.flush(0)
             if owner != NULL_RANK:
-                ctx.accumulate(1, 0, violations_off)
-            ctx.put(ctx.rank, 0, owner_off)
-            ctx.flush(0)
-            ctx.compute(CS_HOLD_US)
-            still_me = ctx.get(0, owner_off)
-            ctx.flush(0)
+                await ctx.accumulate(1, 0, violations_off)
+            await ctx.put(ctx.rank, 0, owner_off)
+            await ctx.flush(0)
+            await ctx.compute(CS_HOLD_US)
+            still_me = await ctx.get(0, owner_off)
+            await ctx.flush(0)
             if still_me != ctx.rank:
-                ctx.accumulate(1, 0, violations_off)
-            ctx.put(NULL_RANK, 0, owner_off)
-            ctx.accumulate(1, 0, counter_off)
-            ctx.flush(0)
-            lock.release()
-        ctx.barrier()
+                await ctx.accumulate(1, 0, violations_off)
+            await ctx.put(NULL_RANK, 0, owner_off)
+            await ctx.accumulate(1, 0, counter_off)
+            await ctx.flush(0)
+            await lock.release()
+        await ctx.barrier()
 
     result = rt.run(program, window_init=window_init)
     window = rt.window(0)
@@ -158,10 +158,10 @@ def run_rw_check(
 
     writer_set = set(writer_ranks) if writer_ranks is not None else None
 
-    def program(ctx):
+    async def program(ctx):
         lock = spec.make(ctx)
         rng = ctx.rng
-        ctx.barrier()
+        await ctx.barrier()
         reads = 0
         writes = 0
         for _ in range(iterations):
@@ -170,40 +170,40 @@ def run_rw_check(
             else:
                 as_writer = bool(rng.random() < fw)
             if as_writer:
-                lock.acquire_write()
-                readers = ctx.get(0, readers_off)
-                other_writer = ctx.get(0, writer_off)
-                ctx.flush(0)
+                await lock.acquire_write()
+                readers = await ctx.get(0, readers_off)
+                other_writer = await ctx.get(0, writer_off)
+                await ctx.flush(0)
                 if readers != 0 or other_writer != 0:
-                    ctx.accumulate(1, 0, violations_off)
-                ctx.put(1, 0, writer_off)
-                ctx.flush(0)
-                ctx.compute(CS_HOLD_US)
-                ctx.put(0, 0, writer_off)
-                ctx.accumulate(1, 0, counter_off)
-                ctx.flush(0)
-                lock.release_write()
+                    await ctx.accumulate(1, 0, violations_off)
+                await ctx.put(1, 0, writer_off)
+                await ctx.flush(0)
+                await ctx.compute(CS_HOLD_US)
+                await ctx.put(0, 0, writer_off)
+                await ctx.accumulate(1, 0, counter_off)
+                await ctx.flush(0)
+                await lock.release_write()
                 writes += 1
             else:
-                lock.acquire_read()
-                writer_present = ctx.get(0, writer_off)
-                ctx.flush(0)
+                await lock.acquire_read()
+                writer_present = await ctx.get(0, writer_off)
+                await ctx.flush(0)
                 if writer_present != 0:
-                    ctx.accumulate(1, 0, violations_off)
-                concurrent = ctx.fao(1, 0, readers_off, AtomicOp.SUM) + 1
-                ctx.flush(0)
-                prev_max = ctx.get(0, max_readers_off)
-                ctx.flush(0)
+                    await ctx.accumulate(1, 0, violations_off)
+                concurrent = await ctx.fao(1, 0, readers_off, AtomicOp.SUM) + 1
+                await ctx.flush(0)
+                prev_max = await ctx.get(0, max_readers_off)
+                await ctx.flush(0)
                 if concurrent > prev_max:
-                    ctx.put(concurrent, 0, max_readers_off)
-                    ctx.flush(0)
-                ctx.compute(CS_HOLD_US)
-                ctx.accumulate(-1, 0, readers_off)
-                ctx.accumulate(1, 0, counter_off)
-                ctx.flush(0)
-                lock.release_read()
+                    await ctx.put(concurrent, 0, max_readers_off)
+                    await ctx.flush(0)
+                await ctx.compute(CS_HOLD_US)
+                await ctx.accumulate(-1, 0, readers_off)
+                await ctx.accumulate(1, 0, counter_off)
+                await ctx.flush(0)
+                await lock.release_read()
                 reads += 1
-        ctx.barrier()
+        await ctx.barrier()
         return {"reads": reads, "writes": writes}
 
     result = rt.run(program, window_init=spec.init_window)

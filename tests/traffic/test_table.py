@@ -67,18 +67,18 @@ class TestReplication:
         runtime = SimRuntime(machine, window_words=table.window_words + 4, seed=0)
         counter_base = table.window_words
 
-        def program(ctx):
+        async def program(ctx):
             handle = table.make(ctx)
             index = ctx.rank % 4
             lock = handle.lock(index)
-            ctx.barrier()
+            await ctx.barrier()
             for _ in range(3):
-                lock.acquire()
-                ctx.accumulate(1, 0, counter_base + index)
-                ctx.flush(0)
-                ctx.compute(0.5)
-                lock.release()
-            ctx.barrier()
+                await lock.acquire()
+                await ctx.accumulate(1, 0, counter_base + index)
+                await ctx.flush(0)
+                await ctx.compute(0.5)
+                await lock.release()
+            await ctx.barrier()
 
         runtime.run(program, window_init=table.init_window)
         window = runtime.window(0)
@@ -89,7 +89,7 @@ class TestReplication:
         table, _ = build_lock_table(machine, "fompi-spin", 4)
         runtime = SimRuntime(machine, window_words=table.window_words, seed=0)
 
-        def program(ctx):
+        async def program(ctx):
             handle = table.make(ctx)
             if ctx.rank == 0:
                 with pytest.raises(ValueError, match="out of range"):
@@ -155,27 +155,27 @@ class TestSchemeSlots:
         runtime = SimRuntime(machine, window_words=table.window_words, seed=0)
         kinds = {}
 
-        def program(ctx):
+        async def program(ctx):
             table.reset_entries()
             handle = table.make(ctx)
             before = type(handle.lock(1)).__name__
-            ctx.barrier()
+            await ctx.barrier()
             entry = table.entry(1)
             placed = entry.place(get_scheme("d-mcs").build(machine), nranks=ctx.nranks)
             for offset in range(entry.base_offset, entry.base_offset + entry.stride):
-                ctx.put(int(placed.init_window(ctx.rank).get(offset, 0)), ctx.rank, offset)
-            ctx.flush(ctx.rank)
+                await ctx.put(int(placed.init_window(ctx.rank).get(offset, 0)), ctx.rank, offset)
+            await ctx.flush(ctx.rank)
             entry.swap_spec(
                 get_scheme("d-mcs").build(machine), rw=False, scheme="d-mcs",
                 nranks=ctx.nranks, version=1,
             )
-            ctx.barrier()
+            await ctx.barrier()
             after = type(handle.lock(1)).__name__
             lock = handle.lock(1)
-            lock.acquire()
-            ctx.compute(0.5)
-            lock.release()
-            ctx.barrier()
+            await lock.acquire()
+            await ctx.compute(0.5)
+            await lock.release()
+            await ctx.barrier()
             if ctx.rank == 0:
                 kinds["before"], kinds["after"] = before, after
 
@@ -204,14 +204,14 @@ class TestStripedTable:
         runtime = SimRuntime(machine, window_words=table.window_words + 2, seed=0)
         results = {}
 
-        def program(ctx):
+        async def program(ctx):
             handle = table.make(ctx)
-            ctx.barrier()
+            await ctx.barrier()
             lock = handle.lock(ctx.rank + machine.num_processes)  # wraps mod P
-            lock.acquire_write()
-            ctx.compute(0.2)
-            lock.release_write()
-            ctx.barrier()
+            await lock.acquire_write()
+            await ctx.compute(0.2)
+            await lock.release_write()
+            await ctx.barrier()
             return lock.volume
 
         result = runtime.run(program, window_init=table.init_window)

@@ -30,9 +30,8 @@ END = "<!-- scheduler-matrix:end -->"
 #: Selection guidance per backend; the registry's help string is the
 #: fallback for runtimes registered after this tool shipped.
 WHEN_TO_PICK = {
-    "horizon": "the default — fast, and every hook (tracer, fabric, perturbation, observer) runs on the canonical path",
+    "horizon": "the default — fastest, threadless, and every hook (tracer, fabric, perturbation, observer, fault plan) runs on it",
     "baseline": "cross-checking a scheduler change against the preserved seed semantics",
-    "vector": "the biggest single runs — batched spin dispatch, cheapest per-op driver; hooks fall back to the canonical single-shard mode",
     "thread": "demonstrating genuine races on real OS threads (wall-clock, non-reproducible)",
 }
 
