@@ -568,7 +568,13 @@ class SimRuntime(RMARuntime):
         watchdog.join()
 
         if self._abort_exc is not None:
-            raise self._abort_exc
+            # Neither the runtime nor a local keeps the failure: its traceback
+            # holds the failing rank's frame and context, which must be freed
+            # by reference counting once the caller drops the exception.
+            try:
+                raise self._abort_exc
+            finally:
+                self._abort_exc = None
         if self.observer is not None:
             self.observer.on_run_end()
 

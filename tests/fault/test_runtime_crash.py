@@ -102,3 +102,36 @@ def test_horizon_ceiling_raises_instead_of_hanging():
     assert not plan.is_null
     with pytest.raises(FaultHorizonError):
         _run(_config(), plan, "horizon")
+
+
+@pytest.mark.parametrize("scheduler", FAULT_SCHEDULERS)
+def test_parked_victim_is_unwound_and_restarts_with_a_fresh_program(scheduler):
+    # Rank 1 parks on a cell nobody writes while rank 0 waits at the barrier:
+    # with nothing runnable, the scheduler kills the parked victim (unwinding
+    # its program's finally block), revives it at restart_us, and the second
+    # incarnation joins the barrier.
+    from repro.rma.baseline_runtime import BaselineSimRuntime
+    from repro.rma.sim_runtime import SimRuntime
+    from repro.topology.machine import Machine
+
+    runtime_cls = {"horizon": SimRuntime, "baseline": BaselineSimRuntime}[scheduler]
+    plan = FaultPlan.single(1, kill_us=10.0, restart_us=50.0)
+    rt = runtime_cls(Machine.single_node(2), window_words=4, fault_plan=plan)
+    starts = [0, 0]
+    unwound = []
+
+    async def program(ctx):
+        starts[ctx.rank] += 1
+        if ctx.rank == 1 and starts[1] == 1:
+            try:
+                await ctx.spin_while(1, 0, lambda v: v == 0)
+            finally:
+                unwound.append(ctx.now())
+        await ctx.barrier()
+        return starts[ctx.rank]
+
+    raw = rt.run(program)
+    assert starts == [1, 2]
+    assert unwound == [10.0]
+    assert raw.returns == [1, 2]
+    assert min(raw.finish_times_us) >= 50.0

@@ -95,3 +95,57 @@ class TestCoroutineCallingConvention:
         rt = SimRuntime(Machine.single_node(2), window_words=4, fault_plan=plan)
         with pytest.raises(TypeError, match="not a coroutine"):
             rt.run(lambda ctx: None)
+
+
+class TestRunToCompletion:
+    """The trampoline that drives a rank program on a thread-per-rank runtime."""
+
+    def test_returns_the_value_of_a_coroutine_that_never_suspends(self):
+        from repro.rma.runtime_base import run_to_completion
+
+        async def inner(x):
+            return x * 2
+
+        async def outer():
+            return await inner(21)
+
+        assert run_to_completion(outer()) == 42
+
+    def test_a_suspending_coroutine_is_closed_and_rejected(self):
+        import types
+
+        from repro.rma.runtime_base import RuntimeError_, run_to_completion
+
+        unwound = []
+
+        @types.coroutine
+        def foreign_suspend():
+            yield
+
+        async def program():
+            try:
+                await foreign_suspend()
+            finally:
+                unwound.append(True)
+
+        with pytest.raises(RuntimeError_, match="suspended on a thread-per-rank runtime"):
+            run_to_completion(program())
+        assert unwound == [True]
+
+    @pytest.mark.parametrize("runtime_name", ["baseline", "thread"])
+    def test_foreign_await_fails_the_run(self, runtime_name):
+        """A program that awaits something other than its context cannot hang."""
+        import asyncio
+
+        from repro.api.registry import get_runtime
+        from repro.rma.runtime_base import RuntimeError_
+
+        rt = get_runtime(runtime_name).factory(Machine.single_node(2), window_words=4)
+
+        async def program(ctx):
+            await ctx.put(1, ctx.rank, 0)
+            await asyncio.sleep(0)  # not a context call: would suspend the rank
+            return ctx.rank
+
+        with pytest.raises(RuntimeError_, match="suspended"):
+            rt.run(program)

@@ -594,3 +594,77 @@ class TestStatistics:
         fast_time = SimRuntime(machine, window_words=2).run(program).total_time_us
         slow_time = SimRuntime(machine, window_words=2, latency=slow).run(program).total_time_us
         assert slow_time > fast_time
+
+
+class TestCoroutineDriver:
+    """horizon runs every rank program as a coroutine on the calling thread."""
+
+    def test_every_rank_runs_on_the_calling_thread(self):
+        rt = make_runtime()
+
+        async def program(ctx):
+            seen = [threading.get_ident()]
+            await ctx.fao(1, 0, 0, AtomicOp.SUM)
+            await ctx.flush(0)
+            seen.append(threading.get_ident())
+            await ctx.barrier()
+            seen.append(threading.get_ident())
+            return seen
+
+        caller = threading.get_ident()
+        result = rt.run(program)
+        assert all(ident == caller for seen in result.returns for ident in seen)
+
+    def test_ranks_interleave_in_virtual_time_order(self):
+        """Each rank suspends when it crosses the horizon, so ops interleave."""
+        rt = make_runtime(Machine.single_node(2))
+        order = []
+
+        async def program(ctx):
+            for step in range(3):
+                await ctx.compute(1.0 + ctx.rank * 0.5)
+                order.append((ctx.rank, step, ctx.now()))
+
+        rt.run(program)
+        assert [t for _, _, t in order] == sorted(t for _, _, t in order)
+        assert {rank for rank, _, _ in order[:2]} == {0, 1}
+
+    def test_unfinished_programs_are_unwound_after_a_deadlock(self):
+        rt = make_runtime()
+        unwound = []
+
+        async def program(ctx):
+            try:
+                await ctx.spin_while(ctx.rank, 0, lambda v: v == 0)
+            finally:
+                unwound.append(ctx.rank)
+
+        with pytest.raises(SimDeadlockError):
+            rt.run(program)
+        assert sorted(unwound) == [0, 1, 2, 3]
+        assert all(state.coro is None for state in rt._states)
+
+    def test_a_failed_run_frees_its_contexts_without_the_cyclic_collector(self):
+        import gc
+        import weakref
+
+        rt = make_runtime()
+        contexts = []
+
+        async def program(ctx):
+            contexts.append(weakref.ref(ctx))
+            if ctx.rank == 3:
+                await ctx.compute(5.0)
+                raise ValueError("rank 3 fails")
+            await ctx.spin_while(ctx.rank, 0, lambda v: v == 0)
+
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with pytest.raises(ValueError, match="rank 3 fails"):
+                rt.run(program)
+            assert len(contexts) == 4
+            assert all(ref() is None for ref in contexts)
+        finally:
+            if gc_was_enabled:
+                gc.enable()

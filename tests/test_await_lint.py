@@ -20,6 +20,8 @@ import re
 from pathlib import Path
 from typing import Iterator, List
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = [ROOT / "src" / "repro", ROOT / "examples"]
 
@@ -104,3 +106,37 @@ def test_lint_catches_a_missing_await(tmp_path):
     assert [line.split(": ", 1)[1] for line in found] == [
         "ctx.put(1, 0, 0)", "lock.acquire()", "lock.held()", "compute(1.0)",
     ]
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "self.ctx.fao(1, 0, 0, op)",
+        "self._ctx.spin_while(0, 0, lambda v: v == 0)",
+        "ctx.barrier()",
+        "handle.release_write()",
+        "async with lock.held():\n        lock.reading()",
+    ],
+    ids=["context-rma", "spin", "barrier", "handle-release", "guard-outside-async-with"],
+)
+def test_lint_flags_each_kind_of_unawaited_call(tmp_path, statement):
+    sample = tmp_path / "sample.py"
+    sample.write_text(f"async def program(self, ctx, handle, lock, op):\n    {statement}\n")
+    found = _unawaited_calls(sample)
+    assert len(found) == 1, found
+
+
+def test_lint_accepts_awaited_calls_and_other_receivers(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "async def program(self, ctx, handle, lock, op, cache):\n"
+        "    await self.ctx.fao(1, 0, 0, op)\n"
+        "    value = await ctx.get(0, 0)\n"
+        "    await handle.acquire_read()\n"
+        "    async with lock.writing():\n"
+        "        await ctx.spin_on_cells([(0, 0)], lambda vs: vs[0] == 0)\n"
+        "    cache.get(value)\n"
+        "    cache.put(1, 2)\n"
+        "    return ctx.now(), ctx.rng.random()\n"
+    )
+    assert _unawaited_calls(sample) == []
